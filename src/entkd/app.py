@@ -145,8 +145,7 @@ def build_streams(cfg: SessionConfig) -> tuple[EventStream, EventStream]:
         if side_a != 0 or side_b != 1:
             raise ConfigError("stream dumps have swapped or repeated sides")
         return stream_a, stream_b
-    stream_a, stream_b, _truth = simulate_link(cfg.source, cfg.alice, cfg.bob)
-    return stream_a, stream_b
+    return simulate_link(cfg.source, cfg.alice, cfg.bob)
 
 
 def build_side_stream(cfg: SessionConfig, side: int) -> EventStream:
@@ -220,7 +219,7 @@ def run_streamer_tcp(cfg: SessionConfig, peer: str, timeout: float = 120.0):
 
 def dump_streams(cfg: SessionConfig, out_alice: str, out_bob: str) -> tuple[int, int]:
     """Simulate the link once and record both stations' streams."""
-    stream_a, stream_b, _truth = simulate_link(cfg.source, cfg.alice, cfg.bob)
+    stream_a, stream_b = simulate_link(cfg.source, cfg.alice, cfg.bob)
     write_stream_dump(out_alice, 0, stream_a)
     write_stream_dump(out_bob, 1, stream_b)
     return len(stream_a), len(stream_b)

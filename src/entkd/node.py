@@ -499,9 +499,11 @@ def run_sessions_over_sockets(sock_matcher, sock_streamer, stream_a,
     try:
         outcome_m = matcher.run()
     finally:
-        worker.join(timeout=300.0)
+        # a matcher that returns has the streamer's last message; one that
+        # raised may leave the streamer waiting, so close before joining
         io_m.close()
         io_s.close()
+        worker.join(timeout=300.0)
     if "error" in box:
         raise box["error"]
     if "outcome" not in box:

@@ -6,15 +6,12 @@ outcomes with per-basis visibility, beam-splitter basis choice, detection
 efficiency, timing jitter, per-detector delay, dark counts, dead time, and a
 per-side clock transform (offset + linear drift). Everything is a pure
 function of (config, seed), so runs are reproducible bit for bit.
-
-Per-pair ground truth is kept alongside the streams so tests can check the
-pipeline against what actually happened.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,27 +71,6 @@ class SideConfig:
             raise ContractViolation("need one delay per detector")
 
 
-@dataclass
-class TruthRecords:
-    """Per emitted pair: emission time, both outcomes, and what survived.
-
-    event_index_* point into the corresponding output stream (-1 = lost).
-    """
-
-    emission_times: np.ndarray
-    basis_a: np.ndarray
-    bit_a: np.ndarray
-    basis_b: np.ndarray
-    bit_b: np.ndarray
-    survived_a: np.ndarray
-    survived_b: np.ndarray
-    event_index_a: np.ndarray
-    event_index_b: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.emission_times.size)
-
-
 def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, salt))))
 
@@ -151,15 +127,13 @@ def _outcome_tables(cfg: SourceConfig, times: np.ndarray, rng: np.random.Generat
 
 
 def detect_side(pair_times: np.ndarray, outcome_bits, side: SideConfig,
-                rng: np.random.Generator, duration: float):
+                rng: np.random.Generator, duration: float) -> EventStream:
     """One station's detection record for the emitted pairs.
 
     outcome_bits = (bits_if_hv, bits_if_da) per pair. The station flips its
     own basis coin per photon (beam splitter), thins by efficiency, applies
     jitter + per-detector delay, adds dark counts, applies the local clock
     transform, then merges, sorts, and applies same-detector dead time.
-
-    Returns (EventStream, survived mask over pairs, event index per pair).
     """
     n = pair_times.size
     bits_hv, bits_da = outcome_bits
@@ -168,9 +142,12 @@ def detect_side(pair_times: np.ndarray, outcome_bits, side: SideConfig,
     det = (basis * 2 + bit).astype(np.uint8)
     kept = rng.random(n) < side.efficiency
 
-    jitter = rng.normal(0.0, side.jitter_sigma, n) if side.jitter_sigma else np.zeros(n)
+    # cut to the detected photons before the timing arithmetic, which would
+    # otherwise be the simulator's largest transient
+    det = det[kept]
+    jitter = rng.normal(0.0, side.jitter_sigma, n)[kept] if side.jitter_sigma else np.zeros(det.size)
     delays = np.asarray(side.detector_delays, dtype=np.int64)
-    photon_t = pair_times + np.rint(jitter).astype(np.int64) + delays[det]
+    photon_t = pair_times[kept] + np.rint(jitter).astype(np.int64) + delays[det]
 
     span = ticks_from_seconds(duration)
     dark_t = []
@@ -180,19 +157,16 @@ def detect_side(pair_times: np.ndarray, outcome_bits, side: SideConfig,
         dark_t.append(rng.integers(0, span, size=nd, dtype=np.int64))
         dark_d.append(np.full(nd, d, dtype=np.uint8))
 
-    all_t = np.concatenate([photon_t[kept]] + dark_t)
-    all_d = np.concatenate([det[kept]] + dark_d)
-    pair_ids = np.concatenate(
-        [np.flatnonzero(kept)] + [np.full(a.size, -1, dtype=np.int64) for a in dark_t]
-    )
+    all_t = np.concatenate([photon_t] + dark_t)
+    all_d = np.concatenate([det] + dark_d)
 
     # local clock: t' = round((1+drift) t) + offset, events before t'=0 are lost
     skewed = np.rint((1.0 + side.clock_drift) * all_t).astype(np.int64) + side.clock_offset
     valid = skewed >= 0
-    skewed, all_d, pair_ids = skewed[valid], all_d[valid], pair_ids[valid]
+    skewed, all_d = skewed[valid], all_d[valid]
 
     order = np.lexsort((all_d, skewed))
-    skewed, all_d, pair_ids = skewed[order], all_d[order], pair_ids[order]
+    skewed, all_d = skewed[order], all_d[order]
 
     if side.dead_time > 0 and skewed.size:
         alive = np.ones(skewed.size, dtype=bool)
@@ -203,33 +177,20 @@ def detect_side(pair_times: np.ndarray, outcome_bits, side: SideConfig,
                 alive[i] = False
             else:
                 last[d] = skewed[i]
-        skewed, all_d, pair_ids = skewed[alive], all_d[alive], pair_ids[alive]
+        skewed, all_d = skewed[alive], all_d[alive]
 
-    stream = EventStream(skewed, all_d)
-    survived = np.zeros(n, dtype=bool)
-    event_index = np.full(n, -1, dtype=np.int64)
-    src = np.flatnonzero(pair_ids >= 0)
-    survived[pair_ids[src]] = True
-    event_index[pair_ids[src]] = src
-    return stream, basis, bit, survived, event_index
+    return EventStream(skewed, all_d)
 
 
 def simulate_link(source: SourceConfig, alice: SideConfig, bob: SideConfig):
-    """Full link: (alice stream, bob stream, TruthRecords)."""
+    """Full link: (alice stream, bob stream)."""
     pair_times = simulate_pairs(source)
     tables_a, tables_b = _outcome_tables(source, pair_times, _rng(source.rng_seed, _SALT_OUTCOMES))
-    stream_a, basis_a, bit_a, surv_a, idx_a = detect_side(
-        pair_times, tables_a, alice, _rng(source.rng_seed, _SALT_SIDE_A), source.duration)
-    stream_b, basis_b, bit_b, surv_b, idx_b = detect_side(
-        pair_times, tables_b, bob, _rng(source.rng_seed, _SALT_SIDE_B), source.duration)
-    truth = TruthRecords(
-        emission_times=pair_times,
-        basis_a=basis_a, bit_a=bit_a,
-        basis_b=basis_b, bit_b=bit_b,
-        survived_a=surv_a, survived_b=surv_b,
-        event_index_a=idx_a, event_index_b=idx_b,
-    )
-    return stream_a, stream_b, truth
+    stream_a = detect_side(pair_times, tables_a, alice, _rng(source.rng_seed, _SALT_SIDE_A),
+                           source.duration)
+    stream_b = detect_side(pair_times, tables_b, bob, _rng(source.rng_seed, _SALT_SIDE_B),
+                           source.duration)
+    return stream_a, stream_b
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,10 @@ def toeplitz_compress(bits: np.ndarray, seed: int, m: int) -> np.ndarray:
     """Hash r input bits to m output bits with a seeded Toeplitz matrix.
 
     The matrix is T[i, j] = s[i - j + r - 1] over the first m + r - 1 seed
-    bits, evaluated as one convolution over GF(2).
+    bits, evaluated as one convolution over GF(2). The integer convolution
+    is computed by real FFT and rounded; each term counts at most r ones, so
+    float64 lands far inside 1/4 of an integer, and a larger residual is
+    refused rather than turned into wrong key bits.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     r = bits.size
@@ -96,8 +99,14 @@ def toeplitz_compress(bits: np.ndarray, seed: int, m: int) -> np.ndarray:
     if m == 0:
         return np.empty(0, dtype=np.uint8)
     s = expand_seed(seed, m + r - 1)
-    conv = np.convolve(s.astype(np.int64), bits.astype(np.int64))
-    return (conv[r - 1 : r - 1 + m] & 1).astype(np.uint8)
+    # outputs r-1 .. r+m-2 of the linear convolution; a cyclic length of at
+    # least m + r - 1 keeps the wrap-around off them
+    n = 1 << (m + r - 2).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(s, n) * np.fft.rfft(bits, n), n)[r - 1 : r - 1 + m]
+    counts = np.rint(conv)
+    if float(np.abs(conv - counts).max()) > 0.25:
+        raise ContractViolation("Toeplitz convolution lost integer precision")
+    return (counts.astype(np.int64) & 1).astype(np.uint8)
 
 
 def key_digest(m: int, bits: np.ndarray) -> int:

@@ -21,6 +21,7 @@ the local clock.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,19 +79,16 @@ class CorrelationResult:
     offset_ticks: float = 0.0
 
 
-def apply_model(model: ClockModel, times, return_clamped: bool = False):
+def apply_model(model: ClockModel, times):
     """Map remote timestamps into the local frame, rounding to the tick.
 
-    Negative results clamp to 0; set return_clamped to also get their count.
+    Negative results clamp to 0.
     """
     t = np.asarray(times, dtype=np.float64)
     out = np.rint(t - model.offset - model.drift * (t - model.reference_ticks))
-    clamped = int(np.count_nonzero(out < 0))
     out = np.maximum(out, 0.0).astype(np.int64)
     if np.isscalar(times) or getattr(times, "ndim", 1) == 0:
-        out = int(out)
-    if return_clamped:
-        return out, clamped
+        return int(out)
     return out
 
 
@@ -130,26 +128,28 @@ def coarse_correlate(local_times: np.ndarray, remote_times: np.ndarray) -> Corre
                              float(signed * COARSE_BIN_TICKS))
 
 
-def _delta_histogram(local_times, remote_times, center: float, half_window: int,
-                     bin_ticks: int):
-    """Histogram of (remote - center - local) over +-half_window at bin_ticks.
+def _pair_deltas(local_times, shifted, half_window: int):
+    """Remote index and (shifted - local) of every pair within +-half_window.
 
-    Pairs come from range lookups of each remote event against the sorted
-    local stream, so cost scales with the overlap density, not n*m.
+    Pairs come from range lookups of each shifted remote event against the
+    sorted local stream, so cost scales with the overlap density, not n*m.
     """
-    shifted = np.asarray(remote_times, dtype=np.int64) - int(round(center))
     lo = np.searchsorted(local_times, shifted - half_window, side="left")
     hi = np.searchsorted(local_times, shifted + half_window, side="right")
     counts = hi - lo
     total = int(counts.sum())
-    n_bins = (2 * half_window) // bin_ticks
-    if total == 0:
-        return np.zeros(n_bins, dtype=np.int64), np.empty(0, dtype=np.int64), n_bins
     r_idx = np.repeat(np.arange(shifted.size), counts)
     l_idx = np.repeat(lo, counts) + (np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts))
-    deltas = shifted[r_idx] - local_times[l_idx]
-    keep = (deltas >= -half_window) & (deltas < half_window)
-    deltas = deltas[keep]
+    return r_idx, shifted[r_idx] - local_times[l_idx]
+
+
+def _delta_histogram(local_times, remote_times, center: float, half_window: int,
+                     bin_ticks: int):
+    """Histogram of (remote - center - local) over +-half_window at bin_ticks."""
+    shifted = np.asarray(remote_times, dtype=np.int64) - int(round(center))
+    _, deltas = _pair_deltas(local_times, shifted, half_window)
+    deltas = deltas[(deltas >= -half_window) & (deltas < half_window)]
+    n_bins = (2 * half_window) // bin_ticks
     hist = np.bincount((deltas + half_window) // bin_ticks, minlength=n_bins)
     return hist, deltas, n_bins
 
@@ -208,16 +208,39 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(ym - b * xm), b
 
 
+def _drift_histograms(local_times, remote_times, offset: float, reference: float):
+    """Drift candidates and each one's de-drifted residual histogram on the
+    mid-tier grid.
+
+    Each remote epoch is paired with the local stream once, inside the mid
+    window widened by the largest correction any candidate makes in that
+    epoch. Every candidate's histogram is then binned from those pairs'
+    de-drifted residuals, so it counts exactly the pairs a search of the mid
+    window at that drift would find.
+    """
+    candidates = np.linspace(-_SCAN_LIMIT, _SCAN_LIMIT, _SCAN_STEPS)
+    n_bins = 2 * _MID_WINDOW // _MID_BIN_TICKS
+    hists = np.zeros((_SCAN_STEPS, n_bins), dtype=np.int64)
+    remote_times = np.asarray(remote_times, dtype=np.int64)
+    cuts = np.flatnonzero(np.diff(remote_times >> 32)) + 1
+    for chunk in np.split(remote_times, cuts):
+        tau = chunk.astype(np.float64) - reference
+        widen = math.ceil(_SCAN_LIMIT * float(np.abs(tau).max(initial=0.0)))
+        r_idx, base = _pair_deltas(local_times, chunk - int(round(offset)),
+                                   _MID_WINDOW + widen)
+        tau = tau[r_idx]
+        for hist, d in zip(hists, candidates):
+            deltas = base - np.rint(d * tau).astype(np.int64)
+            deltas = deltas[(deltas >= -_MID_WINDOW) & (deltas < _MID_WINDOW)]
+            hist += np.bincount((deltas + _MID_WINDOW) // _MID_BIN_TICKS, minlength=n_bins)
+    return candidates, hists
+
+
 def _scan_drift(local_times, remote_times, offset: float, reference: float) -> float:
-    """Pick the drift candidate whose de-drifted residual histogram is sharpest."""
-    best_d, best_peak = 0.0, -1
-    for d in np.linspace(-_SCAN_LIMIT, _SCAN_LIMIT, _SCAN_STEPS):
-        flat = _dedrift(remote_times, float(d), reference)
-        hist, _, _ = _delta_histogram(local_times, flat, offset, _MID_WINDOW, _MID_BIN_TICKS)
-        top = int(hist.max()) if hist.size else 0
-        if top > best_peak:
-            best_peak, best_d = top, float(d)
-    return best_d
+    """Pick the drift candidate whose de-drifted residual histogram is sharpest;
+    the first one on a tie."""
+    candidates, hists = _drift_histograms(local_times, remote_times, offset, reference)
+    return float(candidates[int(np.argmax(hists.max(axis=1)))])
 
 
 def initial_lock(local_times: np.ndarray, remote_times: np.ndarray,

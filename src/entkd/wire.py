@@ -26,7 +26,9 @@ import numpy as np
 from .core import EPOCH_TICKS, ContractViolation, EventStream
 
 RICE_K_MAX = 40
-WIRE_VERSION = 2  # 2: six-pass reconciliation schedule, end-of-session tail cluster
+# 2: six-pass reconciliation schedule, end-of-session tail cluster
+# 3: timing packet body in sections (unary quotients, remainders, flags)
+WIRE_VERSION = 3
 
 
 class DecodeError(ValueError):
@@ -81,14 +83,6 @@ def unframe(buf, offset: int = 0) -> tuple[Message, int]:
     if len(buf) - start < length:
         raise DecodeError("truncated frame payload", start)
     return Message(mtype, bytes(buf[start : start + length])), start + length
-
-
-def unframe_all(buf) -> list[Message]:
-    out, pos = [], 0
-    while pos < len(buf):
-        m, pos = unframe(buf, pos)
-        out.append(m)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -173,66 +167,39 @@ def packetize(stream: EventStream) -> list[TimingPacket]:
 
 
 _TIMING_HDR = struct.Struct("<IIQB")
+# bit shifts of a k-bit remainder, MSB first, and their weights, for each k
+_REM_SHIFTS = [np.arange(k - 1, -1, -1) for k in range(RICE_K_MAX + 1)]
+_REM_WEIGHTS = [1 << s for s in _REM_SHIFTS]
 
 
 def choose_rice_k(deltas: np.ndarray) -> int:
     if deltas.size == 0:
         return 0
-    mean = float(np.mean(deltas))
+    mean = int(deltas.sum()) / deltas.size
     k = int(round(log2(mean))) - 1 if mean >= 1.0 else 0
     return max(0, min(RICE_K_MAX, k))
 
 
-def _rice_encode_small(values, k: int) -> str:
-    parts = []
-    for v in values:
-        q, r = divmod(int(v), 1 << k)
-        parts.append("1" * q)
-        parts.append("0")
-        if k:
-            parts.append(format(r, "0{}b".format(k)))
-    return "".join(parts)
-
-
-def _rice_encode_big(values: np.ndarray, k: int) -> np.ndarray:
-    """Bit array (uint8 0/1) of the Rice codewords for large packets."""
-    q = (values >> k).astype(np.int64)
-    lens = q + 1 + k
-    offsets = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    bits = np.zeros(int(lens.sum()), dtype=np.uint8)
-    total_ones = int(q.sum())
-    if total_ones:
-        starts = np.repeat(offsets, q)
-        ramp = np.arange(total_ones) - np.repeat(np.cumsum(q) - q, q)
-        bits[starts + ramp] = 1
-    # terminator zeros are already zero; fill remainder bits MSB-first
-    base = offsets + q + 1
-    for j in range(k):
-        bits[base + j] = (values >> (k - 1 - j)) & 1
-    return bits
-
-
-def _bitstring_to_bytes(s: str) -> bytes:
-    if not s:
-        return b""
-    pad = (-len(s)) % 8
-    s = s + "0" * pad
-    n = len(s) // 8
-    return int("1" + s, 2).to_bytes(n + 1, "big")[1:]
-
-
 def encode_timing(p: TimingPacket) -> bytes:
+    """Header, then the body in sections: every delta's quotient in unary
+    (q zero bits, then a one), then every k-bit remainder (MSB-first), as
+    one bit stream zero-padded to a byte, then the basis flags zero-padded
+    to a byte."""
     p.validate()
     k = choose_rice_k(p.deltas)
     values = p.deltas - 1
-    if p.deltas.size == 0:
-        rice = b""
-    elif p.deltas.size < 256:
-        rice = _bitstring_to_bytes(_rice_encode_small(values, k))
-    else:
-        rice = np.packbits(_rice_encode_big(values, k)).tobytes()
-    flags = np.packbits(p.basis_flags).tobytes() if p.count else b""
-    return _TIMING_HDR.pack(p.epoch, p.count, p.first_time, k) + rice + flags
+    q = values >> k
+    n_unary = int(q.sum()) + values.size
+    rice_bits = n_unary + values.size * k
+    flag_start = -(-rice_bits // 8) * 8
+    bits = np.zeros(flag_start + p.count, dtype=np.uint8)
+    ends = np.cumsum(q + 1)
+    ends -= 1
+    bits[ends] = 1
+    if k:
+        bits[n_unary:rice_bits].reshape(-1, k)[:] = values[:, None] >> _REM_SHIFTS[k] & 1
+    bits[flag_start:] = p.basis_flags
+    return _TIMING_HDR.pack(p.epoch, p.count, p.first_time, k) + np.packbits(bits).tobytes()
 
 
 def decode_timing(b: bytes) -> TimingPacket:
@@ -243,50 +210,39 @@ def decode_timing(b: bytes) -> TimingPacket:
         raise DecodeError("timing packet with zero events", 4)
     if k > RICE_K_MAX:
         raise DecodeError(f"rice parameter {k} out of range", 16)
-    body = b[_TIMING_HDR.size :]
-    n_deltas = count - 1
+    n = count - 1
+    flag_off = len(b) - (count + 7) // 8
+    rice_end = 8 * (flag_off - _TIMING_HDR.size)
     # every delta costs at least 1+k bits and every event one flag bit, so an
     # implausible count is rejected before any allocation sized from it
-    min_bytes = (n_deltas * (1 + k) + 7) // 8 + (count + 7) // 8
-    if len(body) < min_bytes:
+    if rice_end < n * (1 + k):
         raise DecodeError("payload too short for declared event count", 4)
-    deltas = np.empty(n_deltas, dtype=np.int64)
-    if n_deltas:
-        s = bin(int.from_bytes(b"\xff" + body, "big"))[10:]
-        pos = 0
-        for i in range(n_deltas):
-            z = s.find("0", pos)
-            if z < 0:
-                raise DecodeError("unary run exceeds buffer", _TIMING_HDR.size + pos // 8)
-            q = z - pos
-            if q > EPOCH_TICKS:
-                raise DecodeError("implausible unary run", _TIMING_HDR.size + pos // 8)
-            pos = z + 1
-            if k:
-                if pos + k > len(s):
-                    raise DecodeError("truncated rice remainder", _TIMING_HDR.size + pos // 8)
-                r = int(s[pos : pos + k], 2)
-                pos += k
-            else:
-                r = 0
-            d = (q << k) + r + 1
-            if d > EPOCH_TICKS:
-                raise DecodeError("delta larger than an epoch", _TIMING_HDR.size + pos // 8)
-            deltas[i] = d
-        rice_bytes = (pos + 7) // 8
-        if "1" in s[pos : rice_bytes * 8]:
-            raise DecodeError("nonzero padding after rice data", _TIMING_HDR.size + pos // 8)
-    else:
-        rice_bytes = 0
-    flag_bytes = (count + 7) // 8
-    flag_off = _TIMING_HDR.size + rice_bytes
-    if len(b) != flag_off + flag_bytes:
-        raise DecodeError("payload length disagrees with event count", flag_off)
-    flag_arr = np.frombuffer(b, dtype=np.uint8, offset=flag_off)
-    unpacked = np.unpackbits(flag_arr)
-    if unpacked[count:].any():
+    bits = np.unpackbits(np.frombuffer(b, dtype=np.uint8, offset=_TIMING_HDR.size))
+    # the unary section must end where all n*k remainder bits still fit
+    ends = np.flatnonzero(bits[: rice_end - n * k])[:n]
+    if ends.size < n:
+        raise DecodeError("unary run exceeds buffer", flag_off)
+    n_unary = int(ends[-1]) + 1 if n else 0
+    rice_bits = n_unary + n * k
+    if rice_end - rice_bits >= 8:
+        raise DecodeError("payload length disagrees with event count",
+                          _TIMING_HDR.size + -(-rice_bits // 8))
+    if np.count_nonzero(bits[rice_bits:rice_end]):
+        raise DecodeError("nonzero padding after rice data", flag_off - 1)
+    # the quotients alone must fit in an epoch; this also keeps q << k in range
+    if (n_unary - n) << k >= EPOCH_TICKS:
+        raise DecodeError("implausible unary run", _TIMING_HDR.size)
+    q = ends.copy()
+    q[1:] -= ends[:-1] + 1
+    deltas = (q << k) + 1
+    if k:
+        deltas += bits[n_unary:rice_bits].reshape(n, k).dot(_REM_WEIGHTS[k])
+    if n and int(deltas.max()) > EPOCH_TICKS:
+        raise DecodeError("delta larger than an epoch", _TIMING_HDR.size + n_unary // 8)
+    flags = bits[rice_end:]
+    if np.count_nonzero(flags[count:]):
         raise DecodeError("nonzero padding after basis flags", len(b) - 1)
-    pkt = TimingPacket(epoch, first_time, deltas, unpacked[:count])
+    pkt = TimingPacket(epoch, first_time, deltas, flags[:count])
     try:
         pkt.validate()
     except ContractViolation as exc:

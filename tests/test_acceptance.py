@@ -54,12 +54,10 @@ def test_criterion_01_secret_fraction(tmp_path):
 
     ratio = out_m.secret_bits / out_m.sifted_bits
     reconciled = sum(rep.r for rep in out_m.reports)
-    ratio_reconciled = out_m.secret_bits / reconciled if reconciled else 0.0
     ok = wall < 120.0 and 0.50 <= ratio <= 0.65
     _report.record(
         f"criterion  1 {'PASS' if ok else 'FAIL'}: secret/sifted = "
-        f"{ratio:.4f} (required [0.50, 0.65]; excluding the unreconciled "
-        f"tail: {ratio_reconciled:.4f}), qber = {out_m.qber_last:.4f}, "
+        f"{ratio:.4f} (required [0.50, 0.65]), qber = {out_m.qber_last:.4f}, "
         f"runtime = {wall:.1f} s (< 120 s)")
     assert wall < 120.0
     assert out_m.secret_bits == out_s.secret_bits > 0
@@ -127,7 +125,7 @@ def test_criterion_03_sync_recovery():
         moved = SideConfig(efficiency=1.0, jitter_sigma=3.3629,
                            dark_rate=200.0, detector_delays=(0, 0, 0, 0),
                            clock_offset=offset, clock_drift=drift)
-        sa, sb, _ = simulate_link(src, plain, moved)
+        sa, sb = simulate_link(src, plain, moved)
         try:
             model = initial_lock(sa.times, sb.times)
         except Exception:
@@ -182,7 +180,7 @@ def test_criterion_04_peak_width():
     src = SourceConfig(pair_rate=40000.0, duration=5.0, rng_seed=44)
     side = SideConfig(efficiency=0.9, jitter_sigma=3.3629,
                       detector_delays=(0, 0, 0, 0))
-    sa, sb, _ = simulate_link(src, side, side)
+    sa, sb = simulate_link(src, side, side)
     res = match(sa.times, sb.times)
     counts = np.bincount((res.delta + 30).astype(np.int64),
                          minlength=61).astype(float)

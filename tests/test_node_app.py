@@ -8,10 +8,11 @@ import pytest
 
 from entkd import app, cli
 from entkd.channel import PairChannel
-from entkd.core import EventStream
+from entkd.core import EPOCH_TICKS, EventStream
 from entkd.node import (PROTO_ROLE_MATCHER, PROTO_ROLE_STREAMER,
                         KeyFileWriter, MatcherSession, MetricsLog,
-                        StreamerSession, read_key_file)
+                        StreamerSession, read_key_file,
+                        run_sessions_over_sockets)
 from entkd.physim import read_stream_dump, simulate_link
 from entkd.privamp import final_length
 from entkd.wire import (WIRE_VERSION, Message, MsgType, ProtocolError,
@@ -298,7 +299,7 @@ def _small_link(seed=31):
     src = SourceConfig(pair_rate=2000.0, duration=2.0, rng_seed=seed,
                        visibility_hv=1.0, visibility_da=1.0)
     side = SideConfig(efficiency=1.0, detector_delays=(0, 0, 0, 0))
-    sa, sb, _ = simulate_link(src, side, side)
+    sa, sb = simulate_link(src, side, side)
     return sa, sb
 
 
@@ -500,6 +501,22 @@ def test_no_timing_data_is_protocol_error():
     chan.a.close()
     worker.join(timeout=30)
     assert not worker.is_alive()
+
+
+def test_matcher_failure_over_sockets_returns_promptly():
+    # unrelated streams: the matcher's clock lock finds no peak and raises,
+    # while the streamer waits for replies that will never come
+    rng = np.random.default_rng(5)
+
+    def noise():
+        t = np.sort(rng.integers(0, 4 * EPOCH_TICKS, 40000)).astype(np.int64)
+        return EventStream(t, rng.integers(0, 4, t.size, dtype=np.uint8))
+
+    sock_m, sock_s = socket.socketpair()
+    t0 = time.monotonic()
+    with pytest.raises(ProtocolError, match="clock lock failed"):
+        run_sessions_over_sockets(sock_m, sock_s, noise(), noise(), {}, {})
+    assert time.monotonic() - t0 < 10.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from entkd.core import (Basis, ContractViolation, EventStream,
 from entkd.physim import (SideConfig, SourceConfig, read_stream_dump,
                           sample_joint_outcome, simulate_link, simulate_pairs,
                           write_stream_dump)
+from truth_oracle import simulate_with_truth
 
 
 def _count_anti(src, basis_a, basis_b, n, seed=1):
@@ -48,8 +49,8 @@ def test_determinism():
                        visibility_hv=0.95, visibility_da=0.9)
     side = SideConfig(efficiency=0.3, jitter_sigma=2.0, dark_rate=500,
                       dead_time=80, clock_offset=1234, clock_drift=1e-7)
-    a1, b1, t1 = simulate_link(src, side, side)
-    a2, b2, t2 = simulate_link(src, side, side)
+    a1, b1, t1 = simulate_with_truth(src, side, side)
+    a2, b2, t2 = simulate_with_truth(src, side, side)
     assert np.array_equal(a1.times, a2.times)
     assert np.array_equal(a1.detectors, a2.detectors)
     assert np.array_equal(b1.times, b2.times)
@@ -57,7 +58,7 @@ def test_determinism():
     assert np.array_equal(t1.emission_times, t2.emission_times)
     assert np.array_equal(t1.event_index_b, t2.event_index_b)
     # different seed should differ
-    a3, _, _ = simulate_link(
+    a3, _ = simulate_link(
         SourceConfig(pair_rate=5000, duration=0.5, rng_seed=12,
                      visibility_hv=0.95, visibility_da=0.9), side, side)
     assert not np.array_equal(a1.times, a3.times)
@@ -81,7 +82,7 @@ def test_link_truth_consistency():
     side_a = SideConfig(efficiency=0.5, detector_delays=(0, 0, 0, 0))
     side_b = SideConfig(efficiency=0.4, detector_delays=(0, 0, 0, 0),
                         clock_offset=5000)
-    sa, sb, truth = simulate_link(src, side_a, side_b)
+    sa, sb, truth = simulate_with_truth(src, side_a, side_b)
     sa.assert_sorted(), sb.assert_sorted()
     # ground-truth indices point at events carrying the recorded outcome
     for stream, surv, idx, basis, bit, off in (
@@ -112,7 +113,7 @@ def test_link_truth_consistency():
 def test_dark_counts_only():
     src = SourceConfig(pair_rate=0, duration=1.0, rng_seed=7)
     side = SideConfig(efficiency=1.0, dark_rate=2000)
-    s, _, truth = simulate_link(src, side, SideConfig())
+    s, _, truth = simulate_with_truth(src, side, SideConfig())
     assert len(truth) == 0
     mu = 4 * 2000  # per-detector rate times four detectors
     assert abs(len(s) - mu) < 5 * np.sqrt(mu)
@@ -123,7 +124,7 @@ def test_dark_counts_only():
 def test_dead_time_enforced():
     src = SourceConfig(pair_rate=200000, duration=0.1, rng_seed=2)
     side = SideConfig(efficiency=1.0, dark_rate=5000, dead_time=400)
-    s, _, _ = simulate_link(src, side, SideConfig())
+    s, _ = simulate_link(src, side, SideConfig())
     for d in range(4):
         t = s.times[s.detectors == d]
         if t.size > 1:
@@ -135,8 +136,8 @@ def test_clock_transform():
     plain = SideConfig(efficiency=1.0, detector_delays=(0, 0, 0, 0))
     moved = SideConfig(efficiency=1.0, detector_delays=(0, 0, 0, 0),
                        clock_offset=777, clock_drift=2e-6)
-    s0, _, t0 = simulate_link(src, plain, SideConfig())
-    s1, _, t1 = simulate_link(src, moved, SideConfig())
+    s0, _, t0 = simulate_with_truth(src, plain, SideConfig())
+    s1, _, t1 = simulate_with_truth(src, moved, SideConfig())
     # same emissions, same survival (side RNG draws in the same order)
     assert np.array_equal(t0.emission_times, t1.emission_times)
     assert np.array_equal(t0.survived_a, t1.survived_a)
@@ -149,7 +150,7 @@ def test_clock_transform():
 def test_negative_local_times_dropped():
     src = SourceConfig(pair_rate=50000, duration=0.2, rng_seed=4)
     side = SideConfig(efficiency=1.0, clock_offset=-ticks_from_seconds(0.1))
-    s, _, truth = simulate_link(src, side, SideConfig())
+    s, _, truth = simulate_with_truth(src, side, SideConfig())
     assert s.times.min() >= 0
     lost_early = (truth.emission_times < ticks_from_seconds(0.1)) \
         & ~truth.survived_a
@@ -160,7 +161,7 @@ def test_jitter_spread():
     src = SourceConfig(pair_rate=40000, duration=0.5, rng_seed=8)
     side = SideConfig(efficiency=1.0, jitter_sigma=4.0,
                       detector_delays=(0, 0, 0, 0))
-    s, _, truth = simulate_link(src, side, SideConfig())
+    s, _, truth = simulate_with_truth(src, side, SideConfig())
     resid = (s.times[truth.event_index_a[truth.survived_a]]
              - truth.emission_times[truth.survived_a])
     sd = float(np.std(resid))
@@ -170,7 +171,7 @@ def test_jitter_spread():
 
 def test_stream_dump_roundtrip(tmp_path):
     src = SourceConfig(pair_rate=3000, duration=0.3, rng_seed=6)
-    s, _, _ = simulate_link(src, SideConfig(efficiency=0.8), SideConfig())
+    s, _ = simulate_link(src, SideConfig(efficiency=0.8), SideConfig())
     p = tmp_path / "a.etkd"
     write_stream_dump(p, 0, s)
     side, back = read_stream_dump(p)
@@ -185,7 +186,7 @@ def test_stream_dump_errors(tmp_path):
     with pytest.raises(ContractViolation):
         read_stream_dump(p)
     src = SourceConfig(pair_rate=1000, duration=0.1, rng_seed=1)
-    s, _, _ = simulate_link(src, SideConfig(), SideConfig())
+    s, _ = simulate_link(src, SideConfig(), SideConfig())
     good = tmp_path / "good.etkd"
     write_stream_dump(good, 1, s)
     data = good.read_bytes()

@@ -97,6 +97,32 @@ def test_toeplitz_matches_naive_oracle():
         assert np.array_equal(fast, slow)
 
 
+def convolve_toeplitz(bits, seed, m):
+    """The hash as one exact integer convolution (np.convolve on int64)."""
+    r = len(bits)
+    s = expand_seed(seed, m + r - 1)
+    conv = np.convolve(s.astype(np.int64), np.asarray(bits, dtype=np.int64))
+    return (conv[r - 1 : r - 1 + m] & 1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("r", [1, 2, 5000, 20000])
+def test_toeplitz_fft_matches_convolution(r):
+    rng = np.random.default_rng(r)
+    for m in sorted({1, max(1, r // 3), r}):
+        for bits in (rng.integers(0, 2, r, dtype=np.uint8),
+                     np.ones(r, dtype=np.uint8)):
+            seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+            assert np.array_equal(toeplitz_compress(bits, seed, m),
+                                  convolve_toeplitz(bits, seed, m)), (r, m)
+
+
+def test_toeplitz_refuses_inexact_rounding(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+    with pytest.raises(ContractViolation):
+        toeplitz_compress(np.ones(64, dtype=np.uint8), 5, 32)
+
+
 def test_toeplitz_linearity():
     rng = np.random.default_rng(22)
     r, m, seed = 300, 120, 777

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entkd.core import (COARSE_BIN_TICKS, EPOCH_TICKS, ContractViolation,
-                        ticks_from_seconds)
+from entkd.core import (COARSE_BIN_TICKS, EPOCH_TICKS, TICKS_PER_SECOND,
+                        ContractViolation, ticks_from_seconds)
 from entkd.physim import SideConfig, SourceConfig, simulate_link
-from entkd.tsync import (ClockModel, NoPeakError, apply_model,
+from entkd.tsync import (_MID_BIN_TICKS, _MID_WINDOW, _SCAN_LIMIT,
+                         _SCAN_STEPS, ClockModel, NoPeakError, _dedrift,
+                         _delta_histogram, _drift_histograms, _scan_drift,
+                         apply_model,
                          coarse_correlate, fine_correlate, initial_lock,
                          servo_update)
 
@@ -19,7 +22,7 @@ def _link(offset, drift, rate=40000, duration=0.8, seed=0, eff=1.0,
     b = SideConfig(efficiency=eff, detector_delays=(0, 0, 0, 0),
                    dark_rate=darks, jitter_sigma=jitter,
                    clock_offset=offset, clock_drift=drift)
-    sa, sb, _ = simulate_link(src, a, b)
+    sa, sb = simulate_link(src, a, b)
     return sa.times, sb.times
 
 
@@ -34,9 +37,8 @@ def test_apply_model_identity_and_offset():
     out = apply_model(ClockModel(offset=40.0), t)
     assert np.array_equal(out, np.array([0, 60, 10**12 - 40]))
     assert apply_model(ClockModel(offset=40.0), 100) == 60
-    out, clamped = apply_model(ClockModel(offset=50.0),
-                               np.array([10, 200]), return_clamped=True)
-    assert clamped == 1 and list(out) == [0, 150]
+    out = apply_model(ClockModel(offset=50.0), np.array([10, 200]))
+    assert list(out) == [0, 150]
 
 
 def test_apply_model_inverts_simulator_clock():
@@ -110,6 +112,46 @@ def test_initial_lock_recovers_model():
     predicted = T - model.offset - model.drift * (T - model.reference_ticks)
     assert np.abs(predicted - exact_local).max() < 16  # 2 ns
     assert abs(model.offset - off) < 2000  # offsets agree near t=0
+
+
+def drift_histograms_oracle(local_times, remote_times, offset, reference):
+    """One full pairing search per drift candidate, as the scan first did."""
+    candidates = np.linspace(-_SCAN_LIMIT, _SCAN_LIMIT, _SCAN_STEPS)
+    hists = [_delta_histogram(local_times, _dedrift(remote_times, float(d), reference),
+                              offset, _MID_WINDOW, _MID_BIN_TICKS)[0]
+             for d in candidates]
+    return candidates, np.array(hists)
+
+
+def scan_drift_oracle(local_times, remote_times, offset, reference):
+    best_d, best_peak = 0.0, -1
+    for d, hist in zip(*drift_histograms_oracle(local_times, remote_times,
+                                                offset, reference)):
+        top = int(hist.max())
+        if top > best_peak:
+            best_peak, best_d = top, float(d)
+    return best_d
+
+
+@pytest.mark.parametrize("drift", [0.0, 3e-7, -3e-7, _SCAN_LIMIT,
+                                   -_SCAN_LIMIT])
+def test_scan_drift_matches_per_candidate_oracle(drift):
+    # remote clock drifting at the given rate, with dark counts on both
+    # sides, over the eight epochs initial_lock scans; the second offset
+    # guess puts the peak near the edge of the mid window
+    off = 3 * COARSE_BIN_TICKS // 2
+    la, lb = _link(off, drift, rate=3000,
+                   duration=8 * EPOCH_TICKS / TICKS_PER_SECOND,
+                   seed=11, eff=0.5, darks=2000, jitter=3.36)
+    ref = float((lb[0] >> 32) * EPOCH_TICKS)
+    for guess in (float(off), off + 0.8 * _MID_WINDOW):
+        cand, hists = _drift_histograms(la, lb, guess, ref)
+        want_cand, want_hists = drift_histograms_oracle(la, lb, guess, ref)
+        assert np.array_equal(cand, want_cand)
+        assert np.array_equal(hists, want_hists)
+        assert _scan_drift(la, lb, guess, ref) == scan_drift_oracle(la, lb, guess, ref)
+    if drift:
+        assert abs(_scan_drift(la, lb, off, ref) - drift) <= 2 * _SCAN_LIMIT / (_SCAN_STEPS - 1)
 
 
 def test_initial_lock_raises_on_noise():

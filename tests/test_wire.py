@@ -5,15 +5,13 @@ from hypothesis import strategies as st
 
 from entkd.core import EPOCH_TICKS, EventStream
 from entkd.wire import (RICE_K_MAX, WIRE_VERSION, DecodeError, Message,
-                        MsgType, ProtocolError, TimingPacket,
-                        _bitstring_to_bytes, _rice_encode_big,
-                        _rice_encode_small, choose_rice_k,
+                        MsgType, ProtocolError, TimingPacket, choose_rice_k,
                         decode_coinc_reply, decode_ec_parity, decode_hello,
                         decode_key_hash, decode_pa_seed, decode_seed_msg,
                         decode_timing, dedupe_ticks, encode_coinc_reply,
                         encode_ec_parity, encode_hello, encode_key_hash,
                         encode_pa_seed, encode_seed_msg, encode_timing, frame,
-                        packetize, unframe, unframe_all)
+                        packetize, unframe)
 
 
 def mk_packet(epoch, first, deltas, flags):
@@ -73,24 +71,29 @@ def test_rice_k_selection():
     assert choose_rice_k(mid) == 16
 
 
-@pytest.mark.parametrize("k", [0, 1, 5, 16, 23])
-def test_encoder_paths_agree(k):
-    rng = np.random.default_rng(k)
-    values = rng.integers(0, 1 << (k + 3), size=700).astype(np.int64)
-    small = _bitstring_to_bytes(_rice_encode_small(values, k))
-    big = np.packbits(_rice_encode_big(values, k)).tobytes()
-    assert small == big
+def test_golden_packet_bytes():
+    # deltas 3, 9, 27: mean 13, so k = round(log2 13) - 1 = 3; the values
+    # 2, 8, 26 split into quotients 0, 1, 3 and remainders 2, 0, 2
+    p = mk_packet(1, EPOCH_TICKS + 50, [3, 9, 27], [1, 0, 0, 1])
+    header = bytes.fromhex("01000000" "04000000" "3200000001000000" "03")
+    # unary 1 01 0001, remainders 010 000 010: 1010 0010 | 1000 0010
+    body = bytes([0b10100010, 0b10000010])
+    flags = bytes([0b10010000])
+    blob = header + body + flags
+    assert encode_timing(p) == blob
+    q = decode_timing(blob)
+    assert np.array_equal(q.deltas, p.deltas)
+    assert np.array_equal(q.basis_flags, p.basis_flags)
 
 
-def test_encoder_path_switch_is_invisible():
-    # the codec switches implementations at 256 deltas; both must produce
-    # packets the single decoder reads back exactly
+def test_large_packet_roundtrip():
+    # thousands of deltas with a wide spread of quotients, at several k
     rng = np.random.default_rng(9)
     base = 5 * EPOCH_TICKS
-    for n in (200, 600):
-        deltas = rng.integers(1, 10000, size=n).astype(np.int64)
-        p = mk_packet(5, base + 7, deltas,
-                      rng.integers(0, 2, n + 1))
+    for n, top in ((200, 10_000), (600, 10_000), (5000, 100), (3000, 1 << 20)):
+        deltas = rng.integers(1, top, size=n).astype(np.int64)
+        deltas[::97] *= 40  # long unary runs
+        p = mk_packet(5, base + 7, deltas, rng.integers(0, 2, n + 1))
         q = decode_timing(encode_timing(p))
         assert np.array_equal(q.deltas, p.deltas)
         assert np.array_equal(q.basis_flags, p.basis_flags)
@@ -120,6 +123,35 @@ def test_decode_rejects_corruption():
         q.validate()
 
 
+def test_decode_rejects_section_damage():
+    p = mk_packet(1, EPOCH_TICKS + 50, [3, 9, 27], [1, 0, 0, 1])
+    blob = encode_timing(p)
+    head, rice, flags = blob[:17], blob[17:19], blob[19:]
+    # no terminator in the rice bytes: the first run would reach into the
+    # flag byte, which holds ones
+    with pytest.raises(DecodeError, match="unary run exceeds buffer"):
+        decode_timing(head + b"\x00\x00" + flags)
+    # two deltas of 1 take two rice bits; set one of the six pad bits
+    short = encode_timing(mk_packet(1, EPOCH_TICKS + 50, [1, 1], [0, 1, 1]))
+    assert short[17] == 0b11000000
+    with pytest.raises(DecodeError, match="nonzero padding after rice data"):
+        decode_timing(short[:17] + bytes([0b11000100]) + short[18:])
+    # one rice byte too many
+    with pytest.raises(DecodeError, match="payload length disagrees"):
+        decode_timing(head + rice + b"\x00" + flags)
+    # a nonzero flag padding bit
+    with pytest.raises(DecodeError, match="padding after basis flags"):
+        decode_timing(head + rice + bytes([flags[0] | 1]))
+    # two events at k = 40: a quotient of 1 is 2**40 ticks already, and a
+    # remainder of 2**33 is a gap of two epochs
+    for rice_bits, what in (("01" + "0" * 40, "implausible unary run"),
+                            ("1" + format(1 << 33, "040b"), "delta larger than an epoch")):
+        bits = np.array([int(c) for c in rice_bits], dtype=np.uint8)
+        raw = head[:4] + b"\x02\x00\x00\x00" + head[8:16] + b"\x28"
+        with pytest.raises(DecodeError, match=what):
+            decode_timing(raw + np.packbits(bits).tobytes() + b"\x00")
+
+
 def test_decode_fuzz_random_bytes():
     rng = np.random.default_rng(0)
     for n in list(range(0, 30)) + [100, 1000]:
@@ -136,7 +168,11 @@ def test_framing_roundtrip():
             Message(MsgType.TIMING, b""),
             Message(MsgType.BYE, bytes(range(7)))]
     blob = b"".join(frame(m) for m in msgs)
-    assert unframe_all(blob) == msgs
+    out, pos = [], 0
+    while pos < len(blob):
+        m, pos = unframe(blob, pos)
+        out.append(m)
+    assert out == msgs
     first = frame(msgs[0])
     one, pos = unframe(first + b"XX")
     assert one == msgs[0] and pos == len(first)
@@ -146,7 +182,7 @@ def test_framing_errors():
     with pytest.raises(DecodeError):
         unframe(b"\x01\x05\x00\x00\x00ab")  # declared 5 payload bytes, got 2
     with pytest.raises(DecodeError):
-        unframe_all(frame(Message(MsgType.HELLO, b"x"))[:-1])
+        unframe(frame(Message(MsgType.HELLO, b"x"))[:-1])
     with pytest.raises(ProtocolError):
         unframe(b"\x63\x00\x00\x00\x00")  # unknown tag
 
