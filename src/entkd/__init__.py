@@ -8,12 +8,8 @@ from .core import (
     EPOCH_TICKS,
     COARSE_BINS_PER_EPOCH,
     Basis,
-    DetectionEvent,
     EventStream,
-    KeyBuffer,
     ContractViolation,
-    InvalidDetectorError,
-    detector_to_basis_bit,
     epoch_of,
 )
 

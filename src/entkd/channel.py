@@ -1,6 +1,5 @@
-"""Message transport: in-memory pairs for single-process runs and a socket
-wrapper for two-process runs. Both expose the same blocking send/recv of
-wire.Message objects, so the protocol code never knows which one it rides.
+"""Message transport: framed wire.Message objects over a connected socket,
+with blocking send/recv and a typed receive that holds back other types.
 """
 
 from __future__ import annotations
@@ -19,50 +18,6 @@ DEFAULT_TIMEOUT = 60.0
 
 class ChannelClosed(ConnectionError):
     """Peer closed the channel (or the transport died)."""
-
-
-class QueueEndpoint:
-    """One end of an in-memory duplex channel."""
-
-    def __init__(self, inbox: SimpleQueue, outbox: SimpleQueue,
-                 transcript: list | None = None, label: str = ""):
-        self._inbox = inbox
-        self._outbox = outbox
-        self._transcript = transcript
-        self._label = label
-
-    def send(self, msg: Message) -> None:
-        if self._transcript is not None:
-            self._transcript.append((self._label, msg))
-        self._outbox.put(msg)
-
-    def recv(self, timeout: float = DEFAULT_TIMEOUT) -> Message:
-        try:
-            item = self._inbox.get(timeout=timeout)
-        except Empty:
-            raise ProtocolError("timed out waiting for peer message") from None
-        if item is _CLOSE:
-            raise ChannelClosed("peer endpoint closed")
-        return item
-
-    def close(self) -> None:
-        self._outbox.put(_CLOSE)
-
-
-class PairChannel:
-    """Two connected in-memory endpoints, optionally recording a transcript.
-
-    Transcript entries are (sender label, Message); appends from either
-    thread are atomic, so accounting over the transcript is exact even
-    though interleaving order is schedule-dependent.
-    """
-
-    def __init__(self, transcript: list | None = None):
-        q_ab: SimpleQueue = SimpleQueue()
-        q_ba: SimpleQueue = SimpleQueue()
-        self.transcript = transcript
-        self.a = QueueEndpoint(q_ba, q_ab, transcript, "a")
-        self.b = QueueEndpoint(q_ab, q_ba, transcript, "b")
 
 
 class MessageIO:

@@ -10,11 +10,11 @@ corrected remote time minus local time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, EventStream
+from .core import ContractViolation, detector_basis, detector_bit
 
 ACCEPT_HALF_TICKS = 14       # 1.75 ns
 SERVO_HALF_TICKS = 30        # 3.75 ns
@@ -144,11 +144,12 @@ def sift(result: MatchResult, local_detectors: np.ndarray,
                     or int(ri.max()) >= remote_basis_flags.size):
         raise ContractViolation("match indices out of range")
     det = np.asarray(local_detectors, dtype=np.uint8)[li]
-    same = (det >> 1) == np.asarray(remote_basis_flags, dtype=np.uint8)[ri]
+    same = detector_basis(det) == np.asarray(remote_basis_flags,
+                                             dtype=np.uint8)[ri]
     li, ri, det = li[same], ri[same], det[same]
     order = np.argsort(ri, kind="stable")
     return SiftResult(
-        bits=(det & 1).astype(np.uint8)[order],
+        bits=detector_bit(det).astype(np.uint8)[order],
         local_index=li[order],
         remote_index=ri[order],
         accepted_raw=int(result.accept_mask.sum()),
@@ -160,4 +161,4 @@ def remote_bits_from_reply(detectors: np.ndarray, kept_indices: np.ndarray) -> n
     det = np.asarray(detectors, dtype=np.uint8)
     if kept_indices.size and int(kept_indices.max()) >= det.size:
         raise ContractViolation("kept index out of range")
-    return ((det[kept_indices] & 1) ^ 1).astype(np.uint8)
+    return (detector_bit(det[kept_indices]) ^ 1).astype(np.uint8)

@@ -14,9 +14,8 @@ integers end to end and are carried as u64 on the wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable
 
 import numpy as np
 
@@ -40,38 +39,19 @@ class ContractViolation(ValueError):
     """An operation was handed input that breaks its stated precondition."""
 
 
-class InvalidDetectorError(ValueError):
-    """Detector index outside 0..3."""
-
-
 class Basis(IntEnum):
     HV = 0
     DA = 1
 
 
-# detector -> (basis, bit); detectors 0,1 are the HV pair, 2,3 the DA pair
-_DETECTOR_TABLE = (
-    (Basis.HV, 0),
-    (Basis.HV, 1),
-    (Basis.DA, 0),
-    (Basis.DA, 1),
-)
-
-
-def detector_to_basis_bit(detector: int) -> tuple[Basis, int]:
-    """Map a detector index to its (measurement basis, outcome bit)."""
-    if not 0 <= detector <= 3:
-        raise InvalidDetectorError(f"detector index {detector} not in 0..3")
-    return _DETECTOR_TABLE[detector]
-
-
+# detector = basis * 2 + bit: detectors 0,1 are the HV pair, 2,3 the DA pair
 def detector_basis(detectors: np.ndarray) -> np.ndarray:
-    """Vector form: basis code (0=HV, 1=DA) per detector index."""
+    """Basis code (0=HV, 1=DA) per detector index."""
     return np.asarray(detectors) >> 1
 
 
 def detector_bit(detectors: np.ndarray) -> np.ndarray:
-    """Vector form: outcome bit per detector index."""
+    """Outcome bit per detector index."""
     return np.asarray(detectors) & 1
 
 
@@ -84,24 +64,6 @@ def epoch_of(ticks):
 
 def ticks_from_seconds(seconds: float) -> int:
     return int(round(seconds * TICKS_PER_SECOND))
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    """One timestamped click: (time in ticks, detector 0..3)."""
-
-    time: int
-    detector: int
-
-    def __post_init__(self):
-        if self.time < 0:
-            raise ContractViolation("negative timestamp")
-        if not 0 <= self.detector <= 3:
-            raise InvalidDetectorError(f"detector index {self.detector} not in 0..3")
-
-    @property
-    def basis_bit(self) -> tuple[Basis, int]:
-        return detector_to_basis_bit(self.detector)
 
 
 @dataclass
@@ -124,9 +86,6 @@ class EventStream:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    def __getitem__(self, i: int) -> DetectionEvent:
-        return DetectionEvent(int(self.times[i]), int(self.detectors[i]))
-
     def is_sorted(self) -> bool:
         return bool(np.all(np.diff(self.times) >= 0))
 
@@ -139,54 +98,3 @@ class EventStream:
         a = int(np.searchsorted(self.times, lo, side="left"))
         b = int(np.searchsorted(self.times, hi, side="left"))
         return EventStream(self.times[a:b], self.detectors[a:b])
-
-    @classmethod
-    def from_events(cls, events: Iterable[tuple[int, int]]) -> "EventStream":
-        ev = list(events)
-        if not ev:
-            return cls(np.empty(0, np.int64), np.empty(0, np.uint8))
-        t = np.array([e[0] for e in ev], dtype=np.int64)
-        d = np.array([e[1] for e in ev], dtype=np.uint8)
-        order = np.lexsort((d, t))
-        return cls(t[order], d[order])
-
-    @classmethod
-    def merge(cls, *streams: "EventStream") -> "EventStream":
-        t = np.concatenate([s.times for s in streams]) if streams else np.empty(0, np.int64)
-        d = np.concatenate([s.detectors for s in streams]) if streams else np.empty(0, np.uint8)
-        order = np.lexsort((d, t))
-        return cls(t[order], d[order])
-
-
-KEY_STAGES = ("sifted", "corrected", "final")
-
-
-@dataclass
-class KeyBuffer:
-    """Key material moving through the stack, with its disclosure bookkeeping.
-
-    bits:  0/1 array
-    stage: "sifted" -> "corrected" -> "final"
-    c:     parity bits disclosed so far during reconciliation
-    eta:   measured error fraction (once known)
-    """
-
-    bits: np.ndarray
-    stage: str = "sifted"
-    c: int = 0
-    eta: float | None = None
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.stage not in KEY_STAGES:
-            raise ContractViolation(f"unknown key stage {self.stage!r}")
-        if self.bits.size and (self.bits.max() > 1):
-            raise ContractViolation("key bits must be 0/1")
-        if self.c < 0:
-            raise ContractViolation("negative disclosure count")
-        if self.eta is not None and not 0.0 <= self.eta <= 1.0:
-            raise ContractViolation("eta outside [0, 1]")
-
-    @property
-    def r(self) -> int:
-        return int(self.bits.size)

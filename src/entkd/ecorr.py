@@ -1,12 +1,15 @@
 """Interactive parity-exchange error correction on clustered key bits.
 
-Two engines run in lockstep over a message channel. The reference side
-discloses parities of its bits; the correcting side compares them against
-its own, locates differing positions by batched binary bisection, and
-flips them. Six partition passes (block sizes from block_schedule; the
-first in natural order, the rest over shared seeded permutations) are
-followed by random-subset confirmation rounds until twelve consecutive
-rounds agree. Every bit flipped re-opens the blocks that hold it in the
+One engine serves both sides of the dialogue and does no I/O: its phases
+are generators that yield each outgoing EC_PARITY message and take each
+incoming one as the value of a bare yield, and _drive connects them to a
+transport's send and receive. The reference side discloses parities of
+its bits; the correcting side compares them against its own, locates
+differing positions by batched binary bisection, and flips them. Six
+partition passes (block sizes from block_schedule; the first in natural
+order, the rest over shared seeded permutations) are followed by
+random-subset confirmation rounds until twelve consecutive rounds
+agree. Every bit flipped re-opens the blocks that hold it in the
 passes already run, and those are bisected again before the next pass
 starts (the Cascade effect).
 
@@ -20,18 +23,17 @@ message envelope makes the accounting auditable from a raw transcript.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .channel import PairChannel
 from .wire import Message, MsgType, ProtocolError, decode_ec_parity, encode_ec_parity
 
 N_PASSES = 6
 BICONF_TARGET = 12
 DEFAULT_ETA = 0.05
+ETA_ALPHA = 0.5
 MIN_BLOCK = 8
 CLUSTER_THRESHOLD = 5000
 
@@ -48,10 +50,6 @@ _BICONF_SALT = 1000    # keeps subset seeds clear of pass-permutation seeds
 
 ROLE_REFERENCE = "reference"
 ROLE_CORRECTING = "correcting"
-
-
-class ReconcileAborted(RuntimeError):
-    """Reconciliation could not complete; the cluster yields no key."""
 
 
 def block_schedule(eta_est: float, r: int) -> tuple[int, ...]:
@@ -76,15 +74,12 @@ def block_schedule(eta_est: float, r: int) -> tuple[int, ...]:
 class EtaEstimator:
     """Exponentially weighted error-rate tracker across clusters.
 
-    Returns the default until the first observation, which seeds the
-    average outright; later observations blend in with weight alpha.
+    Returns DEFAULT_ETA until the first observation, which seeds the
+    average outright; later observations blend in with weight ETA_ALPHA.
     """
 
-    def __init__(self, alpha: float = 0.5, initial: float = DEFAULT_ETA):
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError("alpha must be in (0, 1]")
-        self._alpha = alpha
-        self._value = initial
+    def __init__(self):
+        self._value = DEFAULT_ETA
         self._seeded = False
 
     @property
@@ -97,7 +92,7 @@ class EtaEstimator:
         # block sizing needs an estimate strictly inside (0, 0.5]
         eta = min(max(eta, 1e-4), 0.5)
         if self._seeded:
-            self._value = self._alpha * eta + (1.0 - self._alpha) * self._value
+            self._value = ETA_ALPHA * eta + (1.0 - ETA_ALPHA) * self._value
         else:
             self._value = eta
             self._seeded = True
@@ -127,11 +122,11 @@ class ClusterBuilder:
     shorter cluster.
     """
 
-    def __init__(self, threshold: int = CLUSTER_THRESHOLD, first_id: int = 0):
+    def __init__(self, threshold: int = CLUSTER_THRESHOLD):
         if threshold <= 0:
             raise ValueError("threshold must be positive")
         self.threshold = threshold
-        self._next_id = first_id
+        self._next_id = 0
         self._chunks: list[np.ndarray] = []
         self._count = 0
         self._first_epoch = -1
@@ -188,9 +183,13 @@ class _Engine:
     parities, per-block mismatch flags, flip history), so all control
     decisions are reproduced identically without extra coordination
     traffic beyond the parity and branch messages themselves.
+
+    run() returns a generator. It yields each outgoing message, yields
+    None when it needs the peer's next message (sent back into it), and
+    returns the ReconciliationReport.
     """
 
-    def __init__(self, role, bits, cluster_id, shared_seed, eta_est, send, recv):
+    def __init__(self, role, bits, cluster_id, shared_seed, eta_est):
         self.role = role
         self.bits = np.array(bits, dtype=np.uint8).copy()
         if self.bits.ndim != 1 or self.bits.size == 0:
@@ -200,8 +199,6 @@ class _Engine:
         self.r = self.bits.size
         self.cluster_id = cluster_id
         self.shared_seed = shared_seed
-        self._send = send
-        self._recv = recv
 
         self.block_size = block_schedule(eta_est, self.r)
         # one entry per pass run so far
@@ -220,15 +217,14 @@ class _Engine:
 
     # -- message plumbing ---------------------------------------------
 
-    def _send_bits(self, round_id: int, bits, counted: bool) -> None:
+    def _parity_msg(self, round_id: int, bits, counted: bool) -> Message:
         arr = np.asarray(bits, dtype=np.uint8)
-        payload = encode_ec_parity(self.cluster_id, round_id, counted, arr)
-        self._send(Message(MsgType.EC_PARITY, payload))
         if counted:
             self.c += arr.size
+        payload = encode_ec_parity(self.cluster_id, round_id, counted, arr)
+        return Message(MsgType.EC_PARITY, payload)
 
-    def _recv_bits(self, round_id: int, expect: int) -> np.ndarray:
-        msg = self._recv()
+    def _parse(self, msg: Message, round_id: int, expect: int) -> np.ndarray:
         if msg.type != MsgType.EC_PARITY:
             raise ProtocolError(f"expected EC_PARITY, got {msg.type!r}")
         cid, rid, counted, bits = decode_ec_parity(msg.payload)
@@ -242,22 +238,19 @@ class _Engine:
             self.c += bits.size
         return bits
 
-    def _exchange(self, round_id: int, own: np.ndarray) -> np.ndarray:
-        """Reference parities for one round: sent by the reference side,
-        received by the correcting side. Returns them on both."""
-        if self.role == ROLE_REFERENCE:
-            self._send_bits(round_id, own, counted=True)
-            return own
-        return self._recv_bits(round_id, own.size)
+    def _offer(self, sender: str, round_id: int, bits):
+        """What this side yields for one round: the message when it is
+        the round's sender, else None to take the peer's."""
+        if self.role != sender:
+            return None
+        return self._parity_msg(round_id, bits, sender == ROLE_REFERENCE)
 
-    def _compare(self, round_id: int, diff) -> np.ndarray:
-        """Mismatch flags for one round: computed and sent by the
-        correcting side, received by the reference side."""
-        if self.role == ROLE_REFERENCE:
-            return self._recv_bits(round_id, len(diff))
-        diff = np.asarray(diff, dtype=np.uint8)
-        self._send_bits(round_id, diff, counted=False)
-        return diff
+    def _take(self, msg, round_id: int, bits) -> np.ndarray:
+        """The round's bits on this side: its own when it sent them,
+        else the peer's from msg."""
+        if msg is None:
+            return np.asarray(bits, dtype=np.uint8)
+        return self._parse(msg, round_id, len(bits))
 
     # -- parity bookkeeping -------------------------------------------
 
@@ -285,7 +278,7 @@ class _Engine:
 
     # -- bisection ------------------------------------------------------
 
-    def _bisect(self, own: np.ndarray, known: dict, spans) -> np.ndarray:
+    def _bisect(self, own: np.ndarray, known: dict, spans):
         """Locate one differing position inside each span.
 
         own is this side's bits in the spans' coordinates, known the
@@ -311,21 +304,23 @@ class _Engine:
                 return np.array(found, dtype=np.int64)
             missing = [(lo, mid) for lo, _, mid in active
                        if (lo, mid) not in known]
-            vals = self._exchange(R_BISECT_PARITY, np.array(
-                [prefix[mid] ^ prefix[lo] for lo, mid in missing],
-                dtype=np.uint8))
+            vals = np.array([prefix[mid] ^ prefix[lo] for lo, mid in missing],
+                            dtype=np.uint8)
+            msg = yield self._offer(ROLE_REFERENCE, R_BISECT_PARITY, vals)
+            vals = self._take(msg, R_BISECT_PARITY, vals)
             known.update(zip(missing, vals.tolist()))
             diff = []
             for lo, hi, mid in active:
                 left = known[lo, mid]
                 known[mid, hi] = known[lo, hi] ^ left
                 diff.append(left ^ prefix[mid] ^ prefix[lo])
-            go_left = self._compare(R_BISECT_BRANCH, diff).tolist()
+            msg = yield self._offer(ROLE_CORRECTING, R_BISECT_BRANCH, diff)
+            go_left = self._take(msg, R_BISECT_BRANCH, diff).tolist()
             spans = [(lo, mid) if g else (mid, hi)
                      for (lo, hi, mid), g in zip(active, go_left)]
         raise ProtocolError("bisection did not converge")
 
-    def _wave(self) -> None:
+    def _wave(self):
         """Re-check every scanned pass until no block parity mismatches.
 
         The lowest pass with a mismatched block goes first, all of its
@@ -340,13 +335,14 @@ class _Engine:
             k = self.block_size[p]
             spans = [(b * k, min(b * k + k, self.r))
                      for b in np.flatnonzero(state).tolist()]
-            found = self._bisect(self.pbits[p], self.known[p], spans)
+            found = yield from self._bisect(self.pbits[p], self.known[p],
+                                            spans)
             self._apply_flips(self.perm[p][found])
         raise ProtocolError("correction wave did not converge")
 
     # -- protocol phases ------------------------------------------------
 
-    def _run_pass(self, p: int) -> None:
+    def _run_pass(self, p: int):
         if p == 0:
             perm = np.arange(self.r, dtype=np.int64)
         else:
@@ -359,8 +355,10 @@ class _Engine:
         lo = np.arange(0, self.r, k, dtype=np.int64)
         hi = np.minimum(lo + k, self.r)
         mine = np.bitwise_xor.reduceat(pbits, lo)
-        ref = self._exchange(R_PASS_BASE + p, mine)
-        bitmap = self._compare(R_BITMAP_BASE + p, ref ^ mine)
+        msg = yield self._offer(ROLE_REFERENCE, R_PASS_BASE + p, mine)
+        ref = self._take(msg, R_PASS_BASE + p, mine)
+        msg = yield self._offer(ROLE_CORRECTING, R_BITMAP_BASE + p, ref ^ mine)
+        bitmap = self._take(msg, R_BITMAP_BASE + p, ref ^ mine)
         self.perm.append(perm)
         self.inv.append(inv)
         self.pbits.append(pbits)
@@ -373,25 +371,28 @@ class _Engine:
             "blocks": lo.size,
             "mismatched": int(bitmap.sum()),
         })
-        self._wave()
+        yield from self._wave()
 
-    def _run_biconf(self) -> None:
+    def _run_biconf(self):
         clean = 0
         rnd = 0
         while clean < BICONF_TARGET:
             positions = self._subset_positions(rnd)
             own = self.bits[positions]
             mine = np.bitwise_xor.reduce(own, keepdims=True)
-            ref = self._exchange(R_BICONF_PARITY, mine)
-            hit = self._compare(R_BICONF_RESULT, ref ^ mine)[0]
+            msg = yield self._offer(ROLE_REFERENCE, R_BICONF_PARITY, mine)
+            ref = self._take(msg, R_BICONF_PARITY, mine)
+            msg = yield self._offer(ROLE_CORRECTING, R_BICONF_RESULT,
+                                    ref ^ mine)
+            hit = self._take(msg, R_BICONF_RESULT, ref ^ mine)[0]
             self.biconf_rounds += 1
             if hit:
                 self.biconf_hits += 1
                 n = positions.size
-                found = self._bisect(own, {(0, n): int(ref[0])},
-                                     [(0, n)])
+                found = yield from self._bisect(own, {(0, n): int(ref[0])},
+                                                [(0, n)])
                 self._apply_flips(positions[found])
-                self._wave()
+                yield from self._wave()
                 clean = 0
             else:
                 clean += 1
@@ -399,24 +400,24 @@ class _Engine:
             if rnd > 64 * BICONF_TARGET + 4 * self.r:
                 raise ProtocolError("confirmation phase did not terminate")
 
-    def _finish(self) -> None:
+    def _finish(self):
         if self.role == ROLE_CORRECTING:
             word = np.array([self.errors_found], dtype=">u4")
-            self._send_bits(R_DONE, np.unpackbits(word.view(np.uint8)),
-                            counted=False)
+            yield self._parity_msg(
+                R_DONE, np.unpackbits(word.view(np.uint8)), counted=False)
         else:
-            bits = self._recv_bits(R_DONE, 32)
+            bits = self._parse((yield None), R_DONE, 32)
             claimed = int.from_bytes(np.packbits(bits).tobytes(), "big")
             if claimed != self.errors_found:
                 raise ProtocolError(
                     f"peer corrected {claimed} errors, local tally "
                     f"{self.errors_found}")
 
-    def run(self) -> ReconciliationReport:
+    def run(self):
         for p in range(N_PASSES):
-            self._run_pass(p)
-        self._run_biconf()
-        self._finish()
+            yield from self._run_pass(p)
+        yield from self._run_biconf()
+        yield from self._finish()
         summaries = tuple(self.pass_summaries + [{
             "pass": "biconf",
             "rounds": self.biconf_rounds,
@@ -432,52 +433,35 @@ class _Engine:
         )
 
 
+def _drive(steps, send, recv):
+    """Run an engine generator over a transport; returns its result.
+
+    Each message the engine yields goes to send(); each None it yields is
+    answered with recv().
+    """
+    reply = None
+    try:
+        while True:
+            out = steps.send(reply)
+            if out is None:
+                reply = recv()
+            else:
+                send(out)
+                reply = None
+    except StopIteration as stop:
+        return stop.value
+
+
 def reconcile_reference(bits, cluster_id, shared_seed, eta_est,
                         send, recv) -> ReconciliationReport:
     """Run the parity-source side; its bits are never modified."""
-    eng = _Engine(ROLE_REFERENCE, bits, cluster_id, shared_seed, eta_est,
-                  send, recv)
-    return eng.run()
+    eng = _Engine(ROLE_REFERENCE, bits, cluster_id, shared_seed, eta_est)
+    return _drive(eng.run(), send, recv)
 
 
 def reconcile_correcting(bits, cluster_id, shared_seed, eta_est,
                          send, recv) -> tuple[np.ndarray, ReconciliationReport]:
     """Run the correcting side; returns the flipped bit array."""
-    eng = _Engine(ROLE_CORRECTING, bits, cluster_id, shared_seed, eta_est,
-                  send, recv)
-    report = eng.run()
+    eng = _Engine(ROLE_CORRECTING, bits, cluster_id, shared_seed, eta_est)
+    report = _drive(eng.run(), send, recv)
     return eng.bits, report
-
-
-def reconcile_pair(bits_ref, bits_cor, cluster_id=0, shared_seed=1,
-                   eta_est=DEFAULT_ETA, transcript=None):
-    """Reconcile two in-memory bit arrays over an in-process channel.
-
-    Returns (corrected bits, reference report, correcting report).
-    Mostly a test harness; the node wires the same engine functions to
-    a socket instead.
-    """
-    chan = PairChannel(transcript)
-    box: dict = {}
-
-    def _ref():
-        try:
-            box["report"] = reconcile_reference(
-                bits_ref, cluster_id, shared_seed, eta_est,
-                chan.a.send, chan.a.recv)
-        except BaseException as exc:
-            box["error"] = exc
-
-    worker = threading.Thread(target=_ref, daemon=True)
-    worker.start()
-    try:
-        corrected, rep_cor = reconcile_correcting(
-            bits_cor, cluster_id, shared_seed, eta_est,
-            chan.b.send, chan.b.recv)
-    finally:
-        worker.join(timeout=120.0)
-    if "error" in box:
-        raise ReconcileAborted("reference engine failed") from box["error"]
-    if worker.is_alive():
-        raise ReconcileAborted("reference engine did not finish")
-    return corrected, box["report"], rep_cor

@@ -3,8 +3,7 @@
 One station (the streamer) sends its timestamp packets; the other (the
 matcher) locks clocks, finds coincidences, and drives sifting, error
 correction, compression, and key verification back over the same
-channel. Either station can ride an in-memory pair or a socket; the
-protocol content is identical.
+channel, a connected socket.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coinc, tsync, wire
-from .channel import ChannelClosed, MessageIO, PeerEndpoint
+from .channel import MessageIO, PeerEndpoint
 from .coinc import WindowConfig
-from .core import EPOCH_TICKS, TICKS_PER_SECOND, EventStream, epoch_of
+from .core import EPOCH_SECONDS, EPOCH_TICKS, EventStream, epoch_of
 from .ecorr import (CLUSTER_THRESHOLD, Cluster, ClusterBuilder, EtaEstimator,
                     reconcile_correcting, reconcile_reference)
 from .privamp import EtaDomainError, final_length, key_digest, toeplitz_compress
@@ -37,8 +36,6 @@ _KEY_REC = struct.Struct("<II")
 METRICS_HEADER = ("t_s,raw_cps,sifted_cps,secret_cps,qber,"
                   "accidental_cps,mismatched_clusters")
 METRICS_INTERVAL_S = 10.0
-
-_EPOCH_SECONDS = EPOCH_TICKS / TICKS_PER_SECOND
 
 
 class KeyFileWriter:
@@ -98,13 +95,11 @@ class MetricsLog:
     every row has a defined QBER once one cluster has completed.
     """
 
-    def __init__(self, path=None, interval_s: float = METRICS_INTERVAL_S,
-                 mirror=None):
+    def __init__(self, path=None, mirror=None):
         self._fh = open(path, "w") if path else None
         if self._fh:
             self._fh.write(METRICS_HEADER + "\n")
             self._fh.flush()
-        self._interval = interval_s
         self._mirror = mirror
         self._bucket = 0
         self._raw = 0
@@ -116,8 +111,8 @@ class MetricsLog:
         self.rows: list[str] = []
 
     def _flush_bucket(self) -> None:
-        t = self._bucket * self._interval
-        dt = self._interval
+        t = self._bucket * METRICS_INTERVAL_S
+        dt = METRICS_INTERVAL_S
         row = (f"{t:.1f},{self._raw / dt:.3f},{self._sifted / dt:.3f},"
                f"{self._secret / dt:.3f},{self._qber:.5f},"
                f"{self._accidental / dt:.3f},{self._mismatched}")
@@ -132,12 +127,12 @@ class MetricsLog:
         self._accidental = self._mismatched = 0
 
     def advance(self, t_s: float) -> None:
-        while (self._bucket + 1) * self._interval <= t_s:
+        while (self._bucket + 1) * METRICS_INTERVAL_S <= t_s:
             self._flush_bucket()
 
     def add_epoch(self, epoch: int, raw: int, sifted: int,
                   accidental: int) -> None:
-        self.advance(epoch * _EPOCH_SECONDS)
+        self.advance(epoch * EPOCH_SECONDS)
         self._raw += raw
         self._sifted += sifted
         self._accidental += accidental
@@ -189,15 +184,47 @@ def _check_hello(msg: Message, want_role: int) -> int:
     return start_epoch
 
 
-class MatcherSession:
+class _Station:
+    """What both stations do with each cluster they reconcile.
+
+    Subclasses set ep, eta, keys and out.
+    """
+
+    def _record(self, report) -> None:
+        self.eta.update(report.eta)
+        self.out.qber_last = report.eta
+        self.out.reports.append(report)
+
+    def _confirm_key(self, cid: int, bits: np.ndarray, m: int,
+                     seed: int) -> bool:
+        """Compress to m bits and swap digests with the peer; keep the key
+        and return True when the two agree."""
+        key = toeplitz_compress(bits, seed, m)
+        digest = key_digest(m, key)
+        self.ep.send(Message(MsgType.KEY_HASH,
+                             wire.encode_key_hash(cid, digest)))
+        rcid, rdigest = wire.decode_key_hash(
+            self.ep.recv_type(MsgType.KEY_HASH).payload)
+        if rcid != cid:
+            raise ProtocolError(f"key digest for cluster {rcid}, expected {cid}")
+        if rdigest != digest:
+            self.out.clusters_mismatched += 1
+            return False
+        if self.keys:
+            self.keys.append(cid, key)
+        self.out.secret_bits += m
+        self.out.clusters_ok += 1
+        return True
+
+
+class MatcherSession(_Station):
     """The station that receives timing packets and drives the pipeline."""
 
     def __init__(self, endpoint, stream: EventStream, *,
                  windows: WindowConfig = WindowConfig(),
                  cluster_threshold: int = CLUSTER_THRESHOLD,
                  session_seed: int = 1,
-                 key_path=None, metrics_path=None,
-                 lock_epochs: int = LOCK_EPOCHS):
+                 key_path=None, metrics_path=None):
         stream.assert_sorted()
         self.ep = PeerEndpoint(endpoint)
         self.local = stream
@@ -209,7 +236,6 @@ class MatcherSession:
         self.keys = KeyFileWriter(key_path) if key_path else None
         self.metrics = MetricsLog(
             metrics_path, mirror=self._mirror_metrics)
-        self.lock_epochs = lock_epochs
         self.model: tsync.ClockModel | None = None
         self.out = SessionOutcome(role="matcher")
 
@@ -248,9 +274,7 @@ class MatcherSession:
         report = reconcile_reference(
             cluster.bits, cid, ec_seed, self.eta.value,
             self.ep.send, lambda: self.ep.recv_type(MsgType.EC_PARITY))
-        self.eta.update(report.eta)
-        self.out.qber_last = report.eta
-        self.out.reports.append(report)
+        self._record(report)
         try:
             m = final_length(cluster.r, report.eta, report.c)
         except EtaDomainError:
@@ -264,23 +288,8 @@ class MatcherSession:
         pa_seed = int(self.rng.integers(1, 1 << 62))
         self.ep.send(Message(MsgType.PA_SEED,
                              wire.encode_pa_seed(cid, m, pa_seed)))
-        key = toeplitz_compress(cluster.bits, pa_seed, m)
-        digest = key_digest(m, key)
-        self.ep.send(Message(MsgType.KEY_HASH,
-                             wire.encode_key_hash(cid, digest)))
-        rcid, rdigest = wire.decode_key_hash(
-            self.ep.recv_type(MsgType.KEY_HASH).payload)
-        if rcid != cid:
-            raise ProtocolError(f"key digest for cluster {rcid}, expected {cid}")
-        if rdigest == digest:
-            if self.keys:
-                self.keys.append(cid, key)
-            self.out.secret_bits += m
-            self.out.clusters_ok += 1
-            self.metrics.add_cluster(m, report.eta, False)
-        else:
-            self.out.clusters_mismatched += 1
-            self.metrics.add_cluster(0, report.eta, True)
+        ok = self._confirm_key(cid, cluster.bits, m, pa_seed)
+        self.metrics.add_cluster(m if ok else 0, report.eta, not ok)
 
     # -- session ------------------------------------------------------
 
@@ -292,7 +301,7 @@ class MatcherSession:
 
         pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         stream_done = False
-        while len(pending) < self.lock_epochs and not stream_done:
+        while len(pending) < LOCK_EPOCHS and not stream_done:
             msg = self.ep.recv_type(MsgType.TIMING, MsgType.BYE)
             if msg.type == MsgType.BYE:
                 stream_done = True
@@ -314,7 +323,7 @@ class MatcherSession:
         try:
             self.model = tsync.initial_lock(self.local.times[lock_lo:lock_hi],
                                             sample,
-                                            max_epochs=self.lock_epochs)
+                                            max_epochs=LOCK_EPOCHS)
         except NoPeakError as exc:
             raise ProtocolError(f"clock lock failed: {exc}") from exc
         self.out.model = self.model
@@ -338,7 +347,7 @@ class MatcherSession:
         if tail is not None:
             self._run_cluster(tail)
         self.out.model = self.model
-        self.metrics.close((last_epoch + 1) * _EPOCH_SECONDS)
+        self.metrics.close((last_epoch + 1) * EPOCH_SECONDS)
         self.ep.send(Message(MsgType.BYE, b""))
         self.ep.recv_type(MsgType.BYE)
         if self.keys:
@@ -346,7 +355,7 @@ class MatcherSession:
         return self.out
 
 
-class StreamerSession:
+class StreamerSession(_Station):
     """The station that sends timing packets and answers the pipeline."""
 
     def __init__(self, endpoint, stream: EventStream, *,
@@ -402,9 +411,7 @@ class StreamerSession:
         corrected, report = reconcile_correcting(
             cluster.bits, cid, seed, self.eta.value,
             self.ep.send, lambda: self.ep.recv_type(MsgType.EC_PARITY))
-        self.eta.update(report.eta)
-        self.out.qber_last = report.eta
-        self.out.reports.append(report)
+        self._record(report)
         self._corrected[cid] = (corrected, report)
 
     def _on_pa_seed(self, msg: Message) -> None:
@@ -423,21 +430,7 @@ class StreamerSession:
         if allowed is None or m > allowed:
             raise ProtocolError(
                 f"cluster {cid}: peer claims {m} final bits, bound {allowed}")
-        key = toeplitz_compress(corrected, seed, m)
-        digest = key_digest(m, key)
-        self.ep.send(Message(MsgType.KEY_HASH,
-                             wire.encode_key_hash(cid, digest)))
-        rcid, rdigest = wire.decode_key_hash(
-            self.ep.recv_type(MsgType.KEY_HASH).payload)
-        if rcid != cid:
-            raise ProtocolError(f"key digest for cluster {rcid}, expected {cid}")
-        if rdigest == digest:
-            if self.keys:
-                self.keys.append(cid, key)
-            self.out.secret_bits += m
-            self.out.clusters_ok += 1
-        else:
-            self.out.clusters_mismatched += 1
+        self._confirm_key(cid, corrected, m, seed)
 
     def run(self) -> SessionOutcome:
         first_epoch = epoch_of(int(self.stream.times[0])) if len(self.stream) else 0

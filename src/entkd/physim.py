@@ -94,28 +94,13 @@ def _anti_prob(cfg: SourceConfig, basis: int, when_frac) -> np.ndarray | float:
     return (1.0 + np.clip(v_eff, 0.0, 1.0)) / 2.0
 
 
-def sample_joint_outcome(basis_a: Basis, basis_b: Basis, cfg: SourceConfig,
-                         rng: np.random.Generator, when_frac: float = 0.0):
-    """Outcome bits for one pair measured in the given bases.
-
-    Same basis: first bit uniform, second anti-correlated with probability
-    (1+V)/2 for that basis. Different bases: independent uniform bits.
-    """
-    bit_a = int(rng.integers(0, 2))
-    if basis_a == basis_b:
-        p = _anti_prob(cfg, basis_a, when_frac)
-        bit_b = bit_a ^ int(rng.random() < p)
-    else:
-        bit_b = int(rng.integers(0, 2))
-    return bit_a, bit_b
-
-
 def _outcome_tables(cfg: SourceConfig, times: np.ndarray, rng: np.random.Generator):
     """Per-pair outcome bit each side would see in each basis.
 
     bits_b[x] = bits_a[x] xor Bernoulli((1+V_x)/2), independently per basis,
-    which reproduces the pairwise statistics of sample_joint_outcome for
-    every basis combination (anti-correlated same-basis, uniform otherwise).
+    so a pair measured in the same basis x is anti-correlated with
+    probability (1+V_x)/2 and one measured in different bases gives two
+    independent uniform bits.
     """
     n = times.size
     frac = times / max(1, ticks_from_seconds(cfg.duration)) if cfg.visibility_ramp else 0.0

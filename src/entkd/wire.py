@@ -23,7 +23,7 @@ from math import log2
 
 import numpy as np
 
-from .core import EPOCH_TICKS, ContractViolation, EventStream
+from .core import EPOCH_TICKS, ContractViolation, EventStream, detector_basis
 
 RICE_K_MAX = 40
 # 2: six-pass reconciliation schedule, end-of-session tail cluster
@@ -144,13 +144,13 @@ def packetize(stream: EventStream) -> list[TimingPacket]:
     """Split a sorted stream into one packet per non-empty epoch.
 
     Same-tick duplicates are dropped first so every delta is positive.
-    Only the basis (detector >> 1) is carried; outcome bits stay local.
+    Only the basis is carried; outcome bits stay local.
     """
     clean = dedupe_ticks(stream)
     if len(clean) == 0:
         return []
     times = clean.times
-    flags = (clean.detectors >> 1).astype(np.uint8)
+    flags = detector_basis(clean.detectors).astype(np.uint8)
     epochs = times >> 32
     cuts = np.flatnonzero(np.diff(epochs)) + 1
     packets = []

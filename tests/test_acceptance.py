@@ -16,13 +16,13 @@ import _report
 from entkd import app
 from entkd.coinc import WindowConfig, count_accidentals, match
 from entkd.core import EPOCH_TICKS, TICKS_PER_SECOND, EventStream
-from entkd.ecorr import reconcile_pair
 from entkd.node import read_key_file
 from entkd.physim import SideConfig, SourceConfig, simulate_link
 from entkd.privamp import SplitMix64, eve_fraction, toeplitz_compress
 from entkd.tsync import apply_model, initial_lock, servo_update
 from entkd.wire import decode_timing, encode_timing, packetize
 
+from ec_pair import reconcile_pair
 from test_coinc import brute_force_match
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

@@ -3,64 +3,46 @@ import threading
 
 import pytest
 
-from entkd.channel import ChannelClosed, MessageIO, PairChannel, PeerEndpoint
+from entkd.channel import ChannelClosed, MessageIO, PeerEndpoint
 from entkd.wire import Message, MsgType, ProtocolError
-
-
-def test_pair_channel_roundtrip():
-    chan = PairChannel()
-    chan.a.send(Message(MsgType.HELLO, b"hi"))
-    chan.b.send(Message(MsgType.BYE))
-    assert chan.b.recv() == Message(MsgType.HELLO, b"hi")
-    assert chan.a.recv() == Message(MsgType.BYE)
-
-
-def test_pair_channel_transcript():
-    log = []
-    chan = PairChannel(log)
-    chan.a.send(Message(MsgType.TIMING, b"x"))
-    chan.b.send(Message(MsgType.METRICS, b"y"))
-    chan.b.recv()
-    assert ("a", Message(MsgType.TIMING, b"x")) in log
-    assert ("b", Message(MsgType.METRICS, b"y")) in log
-
-
-def test_pair_channel_close_and_timeout():
-    chan = PairChannel()
-    chan.a.close()
-    with pytest.raises(ChannelClosed):
-        chan.b.recv()
-    with pytest.raises(ProtocolError):
-        chan.a.recv(timeout=0.05)
-
-
-def test_peer_endpoint_holdback_order():
-    chan = PairChannel()
-    peer = PeerEndpoint(chan.b)
-    chan.a.send(Message(MsgType.TIMING, b"t1"))
-    chan.a.send(Message(MsgType.EC_PARITY, b"p1"))
-    chan.a.send(Message(MsgType.TIMING, b"t2"))
-    chan.a.send(Message(MsgType.EC_PARITY, b"p2"))
-    # typed receive skips over the timing traffic without reordering it
-    assert peer.recv_type(MsgType.EC_PARITY).payload == b"p1"
-    assert peer.recv_type(MsgType.EC_PARITY).payload == b"p2"
-    assert peer.recv().payload == b"t1"
-    assert peer.recv().payload == b"t2"
-
-
-def test_peer_endpoint_mixed_recv():
-    chan = PairChannel()
-    peer = PeerEndpoint(chan.b)
-    chan.a.send(Message(MsgType.TIMING, b"t1"))
-    chan.a.send(Message(MsgType.BYE))
-    # plain recv drains in arrival order even after a typed pull parked t1
-    assert peer.recv_type(MsgType.BYE).type == MsgType.BYE
-    assert peer.recv().payload == b"t1"
 
 
 def _io_pair():
     s1, s2 = socket.socketpair()
     return MessageIO(s1), MessageIO(s2)
+
+
+def test_peer_endpoint_holdback_order():
+    io1, io2 = _io_pair()
+    try:
+        peer = PeerEndpoint(io2)
+        io1.send(Message(MsgType.TIMING, b"t1"))
+        io1.send(Message(MsgType.EC_PARITY, b"p1"))
+        io1.send(Message(MsgType.TIMING, b"t2"))
+        io1.send(Message(MsgType.EC_PARITY, b"p2"))
+        # typed receive skips over the timing traffic without reordering it
+        assert peer.recv_type(MsgType.EC_PARITY).payload == b"p1"
+        assert peer.recv_type(MsgType.EC_PARITY).payload == b"p2"
+        assert peer.recv().payload == b"t1"
+        assert peer.recv().payload == b"t2"
+    finally:
+        io1.close()
+        io2.close()
+
+
+def test_peer_endpoint_mixed_recv():
+    io1, io2 = _io_pair()
+    try:
+        peer = PeerEndpoint(io2)
+        io1.send(Message(MsgType.TIMING, b"t1"))
+        io1.send(Message(MsgType.BYE))
+        # plain recv drains in arrival order even after a typed pull
+        # parked t1
+        assert peer.recv_type(MsgType.BYE).type == MsgType.BYE
+        assert peer.recv().payload == b"t1"
+    finally:
+        io1.close()
+        io2.close()
 
 
 def test_message_io_roundtrip():

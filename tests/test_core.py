@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entkd.core import (COARSE_BIN_TICKS, COARSE_BINS_PER_EPOCH, EPOCH_TICKS,
-                        FINE_BIN_TICKS, TICKS_PER_NS, TICKS_PER_SECOND, Basis,
-                        ContractViolation, DetectionEvent, EventStream,
-                        InvalidDetectorError, KeyBuffer, detector_basis,
-                        detector_bit, detector_to_basis_bit, epoch_of,
-                        ticks_from_seconds)
+                        FINE_BIN_TICKS, TICKS_PER_NS, TICKS_PER_SECOND,
+                        ContractViolation, EventStream, detector_basis,
+                        detector_bit, epoch_of, ticks_from_seconds)
 
 
 def test_tick_unit_identities():
@@ -36,34 +34,21 @@ def test_ticks_from_seconds():
 
 def test_detector_convention():
     # detector = basis * 2 + bit
-    assert detector_to_basis_bit(0) == (Basis.HV, 0)
-    assert detector_to_basis_bit(1) == (Basis.HV, 1)
-    assert detector_to_basis_bit(2) == (Basis.DA, 0)
-    assert detector_to_basis_bit(3) == (Basis.DA, 1)
     dets = np.array([0, 1, 2, 3], dtype=np.uint8)
     assert list(detector_basis(dets)) == [0, 0, 1, 1]
     assert list(detector_bit(dets)) == [0, 1, 0, 1]
 
 
-def test_detector_validation():
-    with pytest.raises(InvalidDetectorError):
-        detector_to_basis_bit(4)
-    with pytest.raises(InvalidDetectorError):
-        detector_to_basis_bit(-1)
-    with pytest.raises(InvalidDetectorError):
-        DetectionEvent(10, 7)
-    with pytest.raises(ContractViolation):
-        DetectionEvent(-1, 0)
-
-
 def test_event_stream_basic():
-    s = EventStream.from_events([(10, 0), (20, 3), (20, 1), (35, 2)])
+    s = EventStream([10, 20, 20, 35], [0, 1, 3, 2])
     assert len(s) == 4
     assert s.is_sorted()
-    ev = s[1]
-    assert (ev.time, ev.detector) == (20, 3) or (ev.time, ev.detector) == (20, 1)
+    assert s.times.dtype == np.int64 and s.detectors.dtype == np.uint8
     sub = s.slice_ticks(15, 30)
     assert list(sub.times) == [20, 20]
+    assert list(sub.detectors) == [1, 3]
+    with pytest.raises(ContractViolation):
+        EventStream([1, 2], [0])
 
 
 def test_event_stream_sort_check():
@@ -75,36 +60,11 @@ def test_event_stream_sort_check():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 10**12), st.integers(0, 3)),
-                max_size=60),
-       st.lists(st.tuples(st.integers(0, 10**12), st.integers(0, 3)),
-                max_size=60))
-def test_merge_is_sorted_union(a, b):
-    sa = EventStream.from_events(sorted(a))
-    sb = EventStream.from_events(sorted(b))
-    merged = EventStream.merge(sa, sb)
-    assert len(merged) == len(a) + len(b)
-    assert merged.is_sorted()
-    assert sorted(merged.times.tolist()) == sorted(
-        [t for t, _ in a] + [t for t, _ in b])
-
-
-@settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 1000), min_size=1, max_size=80),
        st.integers(0, 1000), st.integers(0, 1000))
 def test_slice_ticks_matches_mask(times, lo, hi):
     times = sorted(times)
-    s = EventStream.from_events([(t, 0) for t in times])
+    s = EventStream(times, np.zeros(len(times), dtype=np.uint8))
     lo, hi = min(lo, hi), max(lo, hi)
     sub = s.slice_ticks(lo, hi)
     assert list(sub.times) == [t for t in times if lo <= t < hi]
-
-
-def test_key_buffer():
-    bits = np.array([1, 0, 1], dtype=np.uint8)
-    kb = KeyBuffer(bits=bits, stage="sifted")
-    assert kb.r == 3
-    with pytest.raises(ContractViolation):
-        KeyBuffer(bits=bits, stage="bogus")
-    with pytest.raises(ContractViolation):
-        KeyBuffer(bits=np.array([2, 0], dtype=np.uint8), stage="sifted")

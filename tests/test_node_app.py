@@ -1,13 +1,15 @@
+import hashlib
 import math
 import socket
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entkd import app, cli
-from entkd.channel import PairChannel
+from entkd.channel import MessageIO
 from entkd.core import EPOCH_TICKS, EventStream
 from entkd.node import (PROTO_ROLE_MATCHER, PROTO_ROLE_STREAMER,
                         KeyFileWriter, MatcherSession, MetricsLog,
@@ -19,6 +21,9 @@ from entkd.wire import (WIRE_VERSION, Message, MsgType, ProtocolError,
                         decode_hello, decode_pa_seed, decode_timing,
                         encode_coinc_reply, encode_hello, encode_pa_seed,
                         encode_seed_msg)
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _write_ini(path, *, duration=3.0, seed=11, pair_rate=3000.0,
@@ -102,7 +107,7 @@ def test_key_file_errors(tmp_path):
 
 def test_metrics_log_bucketing(tmp_path):
     p = tmp_path / "m.csv"
-    log = MetricsLog(p, interval_s=10.0)
+    log = MetricsLog(p)
     log.add_epoch(0, raw=100, sifted=50, accidental=5)    # t = 0.0 s
     log.add_epoch(19, raw=40, sifted=20, accidental=1)    # t = 10.2 s
     log.add_cluster(secret_bits=30, qber=0.0625, mismatched=False)
@@ -127,9 +132,9 @@ def test_metrics_log_bucketing(tmp_path):
 
 
 def test_metrics_qber_carry_forward():
-    log = MetricsLog(None, interval_s=1.0)
+    log = MetricsLog(None)
     log.add_cluster(10, 0.04, False)
-    log.advance(3.5)
+    log.advance(35.0)
     assert len(log.rows) == 3
     assert all(row.split(",")[4] == "0.04000" for row in log.rows)
 
@@ -184,6 +189,24 @@ def test_loopback_determinism(tmp_path):
             (d / "a.csv").read_bytes(),
         ))
     assert files[0] == files[1]
+
+
+# SHA-256 of each station's key file from configs/nominal_run.ini. A change
+# that alters the keys on purpose updates this digest and says so, with
+# the reason, in CHANGES.md.
+NOMINAL_KEYS_SHA256 = (
+    "c5282e57b625aab9d4e3f8026f1acb4806c22befb3c420bf50442364d9ace18c")
+
+
+def test_nominal_keys_golden(tmp_path):
+    cfg = app.load_config(CONFIG_DIR / "nominal_run.ini")
+    cfg.keys_alice = str(tmp_path / "a.etky")
+    cfg.keys_bob = str(tmp_path / "b.etky")
+    cfg.metrics_alice = cfg.metrics_bob = None
+    app.run_loopback(cfg)
+    for name in ("a.etky", "b.etky"):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == NOMINAL_KEYS_SHA256, name
 
 
 def test_loopback_noisy_secrecy_ledger(tmp_path):
@@ -274,7 +297,7 @@ def test_cross_mode_key_equality(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# adversarial paths, driven over an in-memory channel
+# adversarial paths, driven over a socket pair
 
 
 class _TamperEndpoint:
@@ -292,6 +315,11 @@ class _TamperEndpoint:
 
     def close(self):
         self._inner.close()
+
+
+def _io_pair():
+    s1, s2 = socket.socketpair()
+    return MessageIO(s1), MessageIO(s2)
 
 
 def _small_link(seed=31):
@@ -334,7 +362,7 @@ def _run_pair(matcher_ep, streamer_ep, stream_a, stream_b, tmp_path,
 
 def test_mitm_key_hash_flip_counts_mismatch(tmp_path):
     sa, sb = _small_link()
-    chan = PairChannel()
+    io_m, io_s = _io_pair()
 
     def flip_digest(msg):
         if msg.type == MsgType.KEY_HASH:
@@ -344,8 +372,8 @@ def test_mitm_key_hash_flip_counts_mismatch(tmp_path):
         return msg
 
     out_m, err_m, box = _run_pair(
-        _TamperEndpoint(chan.a, flip_digest),
-        _TamperEndpoint(chan.b, flip_digest),
+        _TamperEndpoint(io_m, flip_digest),
+        _TamperEndpoint(io_s, flip_digest),
         sa, sb, tmp_path)
 
     assert err_m is None and "err" not in box
@@ -361,7 +389,7 @@ def test_mitm_key_hash_flip_counts_mismatch(tmp_path):
 
 def test_streamer_rejects_inflated_final_length(tmp_path):
     sa, sb = _small_link(seed=32)
-    chan = PairChannel()
+    io_m, io_s = _io_pair()
 
     def inflate_m(msg):
         if msg.type == MsgType.PA_SEED:
@@ -371,7 +399,7 @@ def test_streamer_rejects_inflated_final_length(tmp_path):
         return msg
 
     out_m, err_m, box = _run_pair(
-        _TamperEndpoint(chan.a, inflate_m), chan.b, sa, sb, tmp_path)
+        _TamperEndpoint(io_m, inflate_m), io_s, sa, sb, tmp_path)
 
     # the streamer recomputes the budget from its own reconciliation record
     # and refuses to compress beyond it
@@ -384,8 +412,7 @@ def test_streamer_bound_applies_to_tail_cluster(tmp_path):
     sa, sb = _small_link(seed=32)
     clean = tmp_path / "clean"
     clean.mkdir()
-    chan = PairChannel()
-    out_m, err_m, box = _run_pair(chan.a, chan.b, sa, sb, clean)
+    out_m, err_m, box = _run_pair(*_io_pair(), sa, sb, clean)
     assert err_m is None and "err" not in box
     tail = out_m.reports[-1]
     assert tail.r < 400  # the end-of-session remainder, below the threshold
@@ -399,9 +426,9 @@ def test_streamer_bound_applies_to_tail_cluster(tmp_path):
                 return Message(msg.type, encode_pa_seed(cid, m + 1, seed))
         return msg
 
-    chan = PairChannel()
+    io_m, io_s = _io_pair()
     out_m, err_m, box = _run_pair(
-        _TamperEndpoint(chan.a, inflate_tail), chan.b, sa, sb, tmp_path)
+        _TamperEndpoint(io_m, inflate_tail), io_s, sa, sb, tmp_path)
     assert isinstance(box.get("err"), ProtocolError)
     assert f"cluster {tail.cluster_id}" in str(box["err"])
     assert "bound" in str(box["err"])
@@ -410,9 +437,9 @@ def test_streamer_bound_applies_to_tail_cluster(tmp_path):
     assert len(written) == tail.cluster_id  # every full cluster got through
 
 
-def _start_streamer(chan, stream, **kwargs):
-    """Run a StreamerSession on chan.b in a worker; the test scripts chan.a."""
-    streamer = StreamerSession(chan.b, stream, **kwargs)
+def _start_streamer(io_s, stream, **kwargs):
+    """Run a StreamerSession on io_s in a worker; the test scripts its peer."""
+    streamer = StreamerSession(io_s, stream, **kwargs)
     box = {}
 
     def _stream():
@@ -432,23 +459,24 @@ def test_streamer_rejects_ec_seed_for_unknown_cluster():
     # and that builder holds bits. Any other id is refused.
     _, sb = _small_link(seed=33)
     for bad_cid, sift in ((1, True), (0, False)):
-        chan = PairChannel()
-        worker, box = _start_streamer(chan, sb, cluster_threshold=10**6)
-        chan.a.send(Message(MsgType.HELLO,
-                            encode_hello(PROTO_ROLE_MATCHER, 0)))
-        assert decode_hello(chan.a.recv().payload)[1] == PROTO_ROLE_STREAMER
+        peer, io_s = _io_pair()
+        worker, box = _start_streamer(io_s, sb, cluster_threshold=10**6)
+        peer.send(Message(MsgType.HELLO, encode_hello(PROTO_ROLE_MATCHER, 0)))
+        assert decode_hello(peer.recv().payload)[1] == PROTO_ROLE_STREAMER
         first = None
-        while (msg := chan.a.recv()).type == MsgType.TIMING:
+        while (msg := peer.recv()).type == MsgType.TIMING:
             first = first or decode_timing(msg.payload)
         assert msg.type == MsgType.BYE
         if sift:
             # some sifted bits below the threshold: next id 0 is the tail
             kept = np.arange(min(40, first.count), dtype=np.int64)
-            chan.a.send(Message(MsgType.COINC_REPLY,
-                                encode_coinc_reply(first.epoch, kept)))
-        chan.a.send(Message(MsgType.EC_PERMUTE_SEED,
-                            encode_seed_msg(bad_cid, 12345)))
+            peer.send(Message(MsgType.COINC_REPLY,
+                              encode_coinc_reply(first.epoch, kept)))
+        peer.send(Message(MsgType.EC_PERMUTE_SEED,
+                          encode_seed_msg(bad_cid, 12345)))
         worker.join(timeout=30)
+        peer.close()
+        io_s.close()
         assert not worker.is_alive()
         assert isinstance(box.get("err"), ProtocolError), (bad_cid, box)
         assert "unknown cluster" in str(box["err"])
@@ -458,34 +486,38 @@ def test_hello_with_wrong_version_is_refused():
     sa, sb = _small_link(seed=34)
     for other in (WIRE_VERSION - 1, WIRE_VERSION + 1):
         # a matcher turns away a streamer that speaks another version
-        chan = PairChannel()
-        matcher = MatcherSession(chan.a, sa)
-        chan.b.send(Message(MsgType.HELLO, encode_hello(
+        io_m, peer = _io_pair()
+        matcher = MatcherSession(io_m, sa)
+        peer.send(Message(MsgType.HELLO, encode_hello(
             PROTO_ROLE_STREAMER, 0, version=other)))
         with pytest.raises(ProtocolError, match=f"version {other}"):
             matcher.run()
-        assert decode_hello(chan.b.recv().payload)[0] == WIRE_VERSION
+        assert decode_hello(peer.recv().payload)[0] == WIRE_VERSION
+        io_m.close()
+        peer.close()
 
         # and a streamer turns away such a matcher before any timing data
-        chan = PairChannel()
-        worker, box = _start_streamer(chan, sb)
-        chan.a.send(Message(MsgType.HELLO, encode_hello(
+        peer, io_s = _io_pair()
+        worker, box = _start_streamer(io_s, sb)
+        peer.send(Message(MsgType.HELLO, encode_hello(
             PROTO_ROLE_MATCHER, 0, version=other)))
         worker.join(timeout=30)
         assert not worker.is_alive()
         assert isinstance(box.get("err"), ProtocolError)
         assert f"version {other}" in str(box["err"])
-        assert chan.a.recv().type == MsgType.HELLO
+        assert peer.recv().type == MsgType.HELLO
         with pytest.raises(ProtocolError, match="timed out"):
-            chan.a.recv(timeout=0.2)
+            peer.recv(timeout=0.2)
+        peer.close()
+        io_s.close()
 
 
 def test_no_timing_data_is_protocol_error():
-    chan = PairChannel()
+    io_m, io_s = _io_pair()
     empty = EventStream(np.empty(0, dtype=np.int64),
                         np.empty(0, dtype=np.uint8))
-    matcher = MatcherSession(chan.a, empty)
-    streamer = StreamerSession(chan.b, empty)
+    matcher = MatcherSession(io_m, empty)
+    streamer = StreamerSession(io_s, empty)
     box = {}
 
     def _stream():
@@ -498,8 +530,9 @@ def test_no_timing_data_is_protocol_error():
     worker.start()
     with pytest.raises(ProtocolError):
         matcher.run()
-    chan.a.close()
+    io_m.close()
     worker.join(timeout=30)
+    io_s.close()
     assert not worker.is_alive()
 
 

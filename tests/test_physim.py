@@ -3,19 +3,16 @@ import pytest
 
 from entkd.core import (Basis, ContractViolation, EventStream,
                         ticks_from_seconds)
-from entkd.physim import (SideConfig, SourceConfig, read_stream_dump,
-                          sample_joint_outcome, simulate_link, simulate_pairs,
+from entkd.physim import (SideConfig, SourceConfig, _outcome_tables,
+                          read_stream_dump, simulate_link, simulate_pairs,
                           write_stream_dump)
 from truth_oracle import simulate_with_truth
 
 
 def _count_anti(src, basis_a, basis_b, n, seed=1):
     rng = np.random.Generator(np.random.PCG64(seed))
-    anti = 0
-    for _ in range(n):
-        a, b = sample_joint_outcome(basis_a, basis_b, src, rng)
-        anti += a != b
-    return anti
+    bits_a, bits_b = _outcome_tables(src, np.zeros(n, dtype=np.int64), rng)
+    return int(np.count_nonzero(bits_a[basis_a] != bits_b[basis_b]))
 
 
 def test_config_validation():
