@@ -96,32 +96,41 @@ class PeerEndpoint:
     """Typed receive with order-preserving holdback.
 
     recv_type pulls the next message of a wanted type while parking
-    everything else; plain recv replays parked messages first, so the
-    overall per-type ordering is never disturbed.
+    everything else, one queue per type, each message tagged with its
+    arrival number; plain recv replays the earliest parked message first,
+    so the arrival order is never disturbed. Both cost the same however
+    many messages are parked.
     """
 
     def __init__(self, endpoint):
         self._ep = endpoint
-        self._held: deque = deque()
+        self._held: dict[MsgType, deque] = {}   # type -> (arrival, message)
+        self._arrivals = 0
 
     def send(self, msg: Message) -> None:
         self._ep.send(msg)
 
+    def _pop_earliest(self, types) -> Message | None:
+        queues = [q for t in types if (q := self._held.get(t))]
+        if not queues:
+            return None
+        return min(queues, key=lambda q: q[0][0]).popleft()[1]
+
     def recv(self, timeout: float = DEFAULT_TIMEOUT) -> Message:
-        if self._held:
-            return self._held.popleft()
-        return self._ep.recv(timeout)
+        msg = self._pop_earliest(self._held)
+        return msg if msg is not None else self._ep.recv(timeout)
 
     def recv_type(self, *types: MsgType, timeout: float = DEFAULT_TIMEOUT) -> Message:
-        for i, msg in enumerate(self._held):
-            if msg.type in types:
-                del self._held[i]
-                return msg
+        msg = self._pop_earliest(types)
+        if msg is not None:
+            return msg
         while True:
             msg = self._ep.recv(timeout)
             if msg.type in types:
                 return msg
-            self._held.append(msg)
+            self._held.setdefault(msg.type, deque()).append(
+                (self._arrivals, msg))
+            self._arrivals += 1
 
     def close(self) -> None:
         self._ep.close()

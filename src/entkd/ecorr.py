@@ -1,34 +1,44 @@
 """Interactive parity-exchange error correction on clustered key bits.
 
-One engine serves both sides of the dialogue and does no I/O: its phases
-are generators that yield each outgoing EC_PARITY message and take each
-incoming one as the value of a bare yield, and _drive connects them to a
-transport's send and receive. The reference side discloses parities of
-its bits; the correcting side compares them against its own, locates
-differing positions by batched binary bisection, and flips them. Six
-partition passes (block sizes from block_schedule; the first in natural
-order, the rest over shared seeded permutations) are followed by
-random-subset confirmation rounds until twelve consecutive rounds
-agree. Every bit flipped re-opens the blocks that hold it in the
-passes already run, and those are bisected again before the next pass
-starts (the Cascade effect).
+One engine per cluster serves either side of the dialogue and does no
+I/O: its phases are generators that yield each outgoing parity section
+and take each incoming one as the value of a bare yield. The reference
+side discloses parities of its bits; the correcting side compares them
+against its own, locates differing positions by batched binary
+bisection, and flips them. Six partition passes (block sizes from
+block_schedule; the first in natural order, the rest over shared seeded
+permutations) are followed by random-subset confirmation rounds until
+twelve consecutive rounds agree. Every bit flipped re-opens the blocks
+that hold it in the passes already run, and those are bisected again
+before the next pass starts (the Cascade effect).
+
+A batch of clusters is reconciled over one dialogue (Pedersen and
+Toyran, "High performance information reconciliation for QKD with
+CASCADE", QIC 15, 2015): _lockstep steps the batch's engines together,
+and each EC_PARITY frame carries one section for every cluster that has
+something to send at that point, so a bisection level costs one round
+trip for the whole batch. Every engine runs exactly the dialogue it
+would run alone; only the framing is shared. _drive connects a batch to
+a transport's send and receive.
 
 Disclosed-parity accounting: every bisection step leaks exactly one bit
 about the shared string (one side's half-block parity plus the other
-side's compare outcome), so only reference-side parity payloads carry
+side's compare outcome), so only reference-side parity sections carry
 the counted flag. Both engines accumulate the same count c, and the
-message envelope makes the accounting auditable from a raw transcript.
+section envelope makes the accounting auditable from a raw transcript.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .wire import Message, MsgType, ProtocolError, decode_ec_parity, encode_ec_parity
+from .wire import (DecodeError, Message, MsgType, ParitySection, ProtocolError,
+                   decode_ec_parity, encode_ec_parity)
 
 N_PASSES = 6
 BICONF_TARGET = 12
@@ -184,9 +194,9 @@ class _Engine:
     decisions are reproduced identically without extra coordination
     traffic beyond the parity and branch messages themselves.
 
-    run() returns a generator. It yields each outgoing message, yields
-    None when it needs the peer's next message (sent back into it), and
-    returns the ReconciliationReport.
+    run() returns a generator. It yields each outgoing ParitySection,
+    yields None when it needs the peer's next section (sent back into
+    it), and returns the ReconciliationReport.
     """
 
     def __init__(self, role, bits, cluster_id, shared_seed, eta_est):
@@ -206,8 +216,8 @@ class _Engine:
         self.inv: list[np.ndarray] = []
         self.pbits: list[np.ndarray] = []
         self.block_state: list[np.ndarray] = []
-        # reference parities disclosed so far, per pass, keyed by (lo, hi)
-        self.known: list[dict[tuple[int, int], int]] = []
+        # reference parities disclosed so far, per pass, keyed as in _bisect
+        self.known: list[dict[int, int]] = []
 
         self.c = 0
         self.errors_found = 0
@@ -217,40 +227,36 @@ class _Engine:
 
     # -- message plumbing ---------------------------------------------
 
-    def _parity_msg(self, round_id: int, bits, counted: bool) -> Message:
-        arr = np.asarray(bits, dtype=np.uint8)
-        if counted:
-            self.c += arr.size
-        payload = encode_ec_parity(self.cluster_id, round_id, counted, arr)
-        return Message(MsgType.EC_PARITY, payload)
-
-    def _parse(self, msg: Message, round_id: int, expect: int) -> np.ndarray:
-        if msg.type != MsgType.EC_PARITY:
-            raise ProtocolError(f"expected EC_PARITY, got {msg.type!r}")
-        cid, rid, counted, bits = decode_ec_parity(msg.payload)
-        if cid != self.cluster_id:
-            raise ProtocolError(f"cluster id {cid} != {self.cluster_id}")
-        if rid != round_id:
-            raise ProtocolError(f"round {rid}, expected {round_id}")
-        if bits.size != expect:
-            raise ProtocolError(f"{bits.size} parity bits, expected {expect}")
-        if counted:
-            self.c += bits.size
-        return bits
-
     def _offer(self, sender: str, round_id: int, bits):
-        """What this side yields for one round: the message when it is
+        """What this side yields for one round: its section when it is
         the round's sender, else None to take the peer's."""
         if self.role != sender:
             return None
-        return self._parity_msg(round_id, bits, sender == ROLE_REFERENCE)
+        arr = np.asarray(bits, dtype=np.uint8)
+        counted = sender == ROLE_REFERENCE
+        if counted:
+            self.c += arr.size
+        return ParitySection(self.cluster_id, round_id, counted, arr)
 
-    def _take(self, msg, round_id: int, bits) -> np.ndarray:
+    def _take(self, sec, sender: str, round_id: int, bits) -> np.ndarray:
         """The round's bits on this side: its own when it sent them,
-        else the peer's from msg."""
-        if msg is None:
+        else the peer's from sec, checked against what this side expects."""
+        if sec is None:
             return np.asarray(bits, dtype=np.uint8)
-        return self._parse(msg, round_id, len(bits))
+        if sec.cluster_id != self.cluster_id:
+            raise ProtocolError(
+                f"cluster id {sec.cluster_id} != {self.cluster_id}")
+        if sec.round_id != round_id:
+            raise ProtocolError(f"round {sec.round_id}, expected {round_id}")
+        if sec.bits.size != len(bits):
+            raise ProtocolError(
+                f"{sec.bits.size} parity bits, expected {len(bits)}")
+        if sec.counted != (sender == ROLE_REFERENCE):
+            raise ProtocolError(f"round {round_id} with counted flag "
+                                f"{int(sec.counted)}")
+        if sec.counted:
+            self.c += sec.bits.size
+        return sec.bits
 
     # -- parity bookkeeping -------------------------------------------
 
@@ -264,11 +270,13 @@ class _Engine:
 
         Positions are distinct, so the fancy-index toggles are exact.
         """
+        # the stored int32 indices, widened once so no index is cast twice
+        positions = positions.astype(np.intp, copy=False)
         correcting = self.role == ROLE_CORRECTING
         if correcting:
             self.bits[positions] ^= 1
         for p, inv in enumerate(self.inv):
-            where = inv[positions]
+            where = inv[positions].astype(np.intp)
             if correcting:
                 self.pbits[p][where] ^= 1
             state = self.block_state[p]
@@ -282,9 +290,11 @@ class _Engine:
         """Locate one differing position inside each span.
 
         own is this side's bits in the spans' coordinates, known the
-        reference parities already disclosed there (keyed by (lo, hi) and
-        updated in place), and spans the disjoint ascending (lo, hi) pairs
-        with odd difference parity and known reference parity. Runs
+        reference parities already disclosed there (updated in place, and
+        keyed by lo * (own.size + 1) + hi: one int per span keeps the many
+        tables a batch holds at once small), and spans the disjoint
+        ascending (lo, hi) pairs with odd difference parity and known
+        reference parity. Runs
         level-synchronously: one message pair covers every still-active
         span, and a left-half parity already disclosed is not disclosed
         again. Returns the located coordinates.
@@ -292,6 +302,7 @@ class _Engine:
         acc = np.zeros(own.size + 1, dtype=np.uint8)
         np.bitwise_xor.accumulate(own, out=acc[1:])
         prefix = acc.tolist()
+        w = own.size + 1
         found = []
         for _ in range(self.r.bit_length() + 1):
             active = []
@@ -303,19 +314,21 @@ class _Engine:
             if not active:
                 return np.array(found, dtype=np.int64)
             missing = [(lo, mid) for lo, _, mid in active
-                       if (lo, mid) not in known]
+                       if lo * w + mid not in known]
             vals = np.array([prefix[mid] ^ prefix[lo] for lo, mid in missing],
                             dtype=np.uint8)
-            msg = yield self._offer(ROLE_REFERENCE, R_BISECT_PARITY, vals)
-            vals = self._take(msg, R_BISECT_PARITY, vals)
-            known.update(zip(missing, vals.tolist()))
+            sec = yield self._offer(ROLE_REFERENCE, R_BISECT_PARITY, vals)
+            vals = self._take(sec, ROLE_REFERENCE, R_BISECT_PARITY, vals)
+            known.update(zip([lo * w + mid for lo, mid in missing],
+                             vals.tolist()))
             diff = []
             for lo, hi, mid in active:
-                left = known[lo, mid]
-                known[mid, hi] = known[lo, hi] ^ left
+                left = known[lo * w + mid]
+                known[mid * w + hi] = known[lo * w + hi] ^ left
                 diff.append(left ^ prefix[mid] ^ prefix[lo])
-            msg = yield self._offer(ROLE_CORRECTING, R_BISECT_BRANCH, diff)
-            go_left = self._take(msg, R_BISECT_BRANCH, diff).tolist()
+            sec = yield self._offer(ROLE_CORRECTING, R_BISECT_BRANCH, diff)
+            go_left = self._take(sec, ROLE_CORRECTING, R_BISECT_BRANCH,
+                                 diff).tolist()
             spans = [(lo, mid) if g else (mid, hi)
                      for (lo, hi, mid), g in zip(active, go_left)]
         raise ProtocolError("bisection did not converge")
@@ -343,27 +356,29 @@ class _Engine:
     # -- protocol phases ------------------------------------------------
 
     def _run_pass(self, p: int):
+        # int32 indices: a batch keeps every cluster's passes alive at once
         if p == 0:
-            perm = np.arange(self.r, dtype=np.int64)
+            perm = np.arange(self.r, dtype=np.int32)
         else:
             gen = Generator(PCG64(SeedSequence((self.shared_seed, p))))
-            perm = gen.permutation(self.r).astype(np.int64)
-        inv = np.empty(self.r, dtype=np.int64)
-        inv[perm] = np.arange(self.r, dtype=np.int64)
+            perm = gen.permutation(self.r).astype(np.int32)
+        inv = np.empty(self.r, dtype=np.int32)
+        inv[perm] = np.arange(self.r, dtype=np.int32)
         pbits = self.bits[perm]
         k = self.block_size[p]
         lo = np.arange(0, self.r, k, dtype=np.int64)
         hi = np.minimum(lo + k, self.r)
         mine = np.bitwise_xor.reduceat(pbits, lo)
-        msg = yield self._offer(ROLE_REFERENCE, R_PASS_BASE + p, mine)
-        ref = self._take(msg, R_PASS_BASE + p, mine)
-        msg = yield self._offer(ROLE_CORRECTING, R_BITMAP_BASE + p, ref ^ mine)
-        bitmap = self._take(msg, R_BITMAP_BASE + p, ref ^ mine)
+        sec = yield self._offer(ROLE_REFERENCE, R_PASS_BASE + p, mine)
+        ref = self._take(sec, ROLE_REFERENCE, R_PASS_BASE + p, mine)
+        sec = yield self._offer(ROLE_CORRECTING, R_BITMAP_BASE + p, ref ^ mine)
+        bitmap = self._take(sec, ROLE_CORRECTING, R_BITMAP_BASE + p,
+                            ref ^ mine)
         self.perm.append(perm)
         self.inv.append(inv)
         self.pbits.append(pbits)
         self.block_state.append(bitmap.copy())
-        self.known.append(dict(zip(zip(lo.tolist(), hi.tolist()),
+        self.known.append(dict(zip((lo * (self.r + 1) + hi).tolist(),
                                    ref.tolist())))
         self.pass_summaries.append({
             "pass": p,
@@ -380,16 +395,17 @@ class _Engine:
             positions = self._subset_positions(rnd)
             own = self.bits[positions]
             mine = np.bitwise_xor.reduce(own, keepdims=True)
-            msg = yield self._offer(ROLE_REFERENCE, R_BICONF_PARITY, mine)
-            ref = self._take(msg, R_BICONF_PARITY, mine)
-            msg = yield self._offer(ROLE_CORRECTING, R_BICONF_RESULT,
+            sec = yield self._offer(ROLE_REFERENCE, R_BICONF_PARITY, mine)
+            ref = self._take(sec, ROLE_REFERENCE, R_BICONF_PARITY, mine)
+            sec = yield self._offer(ROLE_CORRECTING, R_BICONF_RESULT,
                                     ref ^ mine)
-            hit = self._take(msg, R_BICONF_RESULT, ref ^ mine)[0]
+            hit = self._take(sec, ROLE_CORRECTING, R_BICONF_RESULT,
+                             ref ^ mine)[0]
             self.biconf_rounds += 1
             if hit:
                 self.biconf_hits += 1
                 n = positions.size
-                found = yield from self._bisect(own, {(0, n): int(ref[0])},
+                found = yield from self._bisect(own, {n: int(ref[0])},
                                                 [(0, n)])
                 self._apply_flips(positions[found])
                 yield from self._wave()
@@ -401,17 +417,15 @@ class _Engine:
                 raise ProtocolError("confirmation phase did not terminate")
 
     def _finish(self):
-        if self.role == ROLE_CORRECTING:
-            word = np.array([self.errors_found], dtype=">u4")
-            yield self._parity_msg(
-                R_DONE, np.unpackbits(word.view(np.uint8)), counted=False)
-        else:
-            bits = self._parse((yield None), R_DONE, 32)
-            claimed = int.from_bytes(np.packbits(bits).tobytes(), "big")
-            if claimed != self.errors_found:
-                raise ProtocolError(
-                    f"peer corrected {claimed} errors, local tally "
-                    f"{self.errors_found}")
+        word = np.array([self.errors_found], dtype=">u4")
+        tally = np.unpackbits(word.view(np.uint8))
+        sec = yield self._offer(ROLE_CORRECTING, R_DONE, tally)
+        bits = self._take(sec, ROLE_CORRECTING, R_DONE, tally)
+        claimed = int.from_bytes(np.packbits(bits).tobytes(), "big")
+        if claimed != self.errors_found:
+            raise ProtocolError(
+                f"peer corrected {claimed} errors, local tally "
+                f"{self.errors_found}")
 
     def run(self):
         for p in range(N_PASSES):
@@ -433,11 +447,82 @@ class _Engine:
         )
 
 
-def _drive(steps, send, recv):
-    """Run an engine generator over a transport; returns its result.
+def _lockstep(engines):
+    """Run a batch's engines over one dialogue; returns their reports.
 
-    Each message the engine yields goes to send(); each None it yields is
-    answered with recv().
+    A generator like each engine's run(): it yields each outgoing
+    EC_PARITY message, yields None when it needs the peer's next one
+    (sent back into it), and returns the reports in batch order. Every
+    frame holds the next section of each engine that has one to send.
+    Both sides step mirrored engines, so the clusters a side waits on are
+    exactly those the peer's next frame must carry, in batch order.
+    """
+    ids = [eng.cluster_id for eng in engines]
+    if not ids or len(set(ids)) != len(ids):
+        raise ValueError("a batch needs distinct cluster ids")
+    steps = [eng.run() for eng in engines]
+    queued = [deque() for _ in engines]   # sections not yet sent
+    waiting = [False] * len(engines)      # parked on a bare yield
+    reports = [None] * len(engines)
+
+    def advance(i, reply):
+        """Resume engine i with reply until it waits or returns."""
+        try:
+            out = steps[i].send(reply)
+            while out is not None:
+                queued[i].append(out)
+                out = steps[i].send(None)
+            waiting[i] = True
+        except StopIteration as stop:
+            waiting[i], reports[i] = False, stop.value
+
+    for i in range(len(engines)):
+        advance(i, None)
+    while True:
+        out, expect = [], []
+        for i, q in enumerate(queued):
+            if q:
+                out.append(q.popleft())
+            if waiting[i] and not q:
+                expect.append(i)
+        if out:
+            yield Message(MsgType.EC_PARITY, encode_ec_parity(out))
+        if expect:
+            sections = _frame_sections((yield None), [ids[i] for i in expect],
+                                       ids)
+            for i, sec in zip(expect, sections):
+                advance(i, sec)
+        elif not out:
+            return reports
+
+
+def _frame_sections(msg: Message, expect: list[int], batch: list[int]):
+    """The sections of a received frame, one per expected cluster in
+    order; a missing, repeated or foreign cluster is a ProtocolError."""
+    if msg.type != MsgType.EC_PARITY:
+        raise ProtocolError(f"expected EC_PARITY, got {msg.type!r}")
+    try:
+        sections = decode_ec_parity(msg.payload)
+    except DecodeError as exc:
+        raise ProtocolError(f"bad parity frame: {exc}") from None
+    got = [sec.cluster_id for sec in sections]
+    if got != expect:
+        for cid in got:
+            if cid not in batch:
+                raise ProtocolError(f"cluster id {cid} is not in the batch")
+        for cid in expect:
+            if cid not in got:
+                raise ProtocolError(f"cluster id {cid} missing from the frame")
+        raise ProtocolError(f"frame carries cluster ids {got}, "
+                            f"expected {expect}")
+    return sections
+
+
+def _drive(steps, send, recv):
+    """Run a dialogue generator over a transport; returns its result.
+
+    Each message the generator yields goes to send(); each None it yields
+    is answered with recv().
     """
     reply = None
     try:
@@ -452,16 +537,23 @@ def _drive(steps, send, recv):
         return stop.value
 
 
-def reconcile_reference(bits, cluster_id, shared_seed, eta_est,
-                        send, recv) -> ReconciliationReport:
-    """Run the parity-source side; its bits are never modified."""
-    eng = _Engine(ROLE_REFERENCE, bits, cluster_id, shared_seed, eta_est)
-    return _drive(eng.run(), send, recv)
+def _engines(role, batch, eta_est):
+    return [_Engine(role, bits, cid, seed, eta_est) for cid, bits, seed in batch]
 
 
-def reconcile_correcting(bits, cluster_id, shared_seed, eta_est,
-                         send, recv) -> tuple[np.ndarray, ReconciliationReport]:
-    """Run the correcting side; returns the flipped bit array."""
-    eng = _Engine(ROLE_CORRECTING, bits, cluster_id, shared_seed, eta_est)
-    report = _drive(eng.run(), send, recv)
-    return eng.bits, report
+def reconcile_reference(batch, eta_est, send,
+                        recv) -> list[ReconciliationReport]:
+    """Run the parity-source side of a batch of (cluster id, bits, shared
+    seed) triples; its bits are never modified. Returns the reports in
+    batch order."""
+    return _drive(_lockstep(_engines(ROLE_REFERENCE, batch, eta_est)),
+                  send, recv)
+
+
+def reconcile_correcting(batch, eta_est, send,
+                         recv) -> list[tuple[np.ndarray, ReconciliationReport]]:
+    """Run the correcting side of a batch of (cluster id, bits, shared
+    seed) triples. Returns (corrected bits, report) in batch order."""
+    engines = _engines(ROLE_CORRECTING, batch, eta_est)
+    reports = _drive(_lockstep(engines), send, recv)
+    return [(eng.bits, rep) for eng, rep in zip(engines, reports)]

@@ -4,6 +4,15 @@ One station (the streamer) sends its timestamp packets; the other (the
 matcher) locks clocks, finds coincidences, and drives sifting, error
 correction, compression, and key verification back over the same
 channel, a connected socket.
+
+Clusters are reconciled in batches, and which clusters form a batch
+depends only on the data: the session's first cluster goes alone, as
+soon as it closes, since the error-rate estimate is still a guess; after
+that, every cluster closed within one metrics interval is reconciled
+together when the epoch clock crosses into the next interval, before
+that epoch is counted, so the outcomes land in the interval's metrics
+row. What is left at the end of the stream, tail included, is the last
+batch. The streamer follows the matcher's batch announcements.
 """
 
 from __future__ import annotations
@@ -36,6 +45,11 @@ _KEY_REC = struct.Struct("<II")
 METRICS_HEADER = ("t_s,raw_cps,sifted_cps,secret_cps,qber,"
                   "accidental_cps,mismatched_clusters")
 METRICS_INTERVAL_S = 10.0
+
+
+def _interval(epoch: int) -> int:
+    """Index of the metrics interval an epoch starts in."""
+    return int(epoch * EPOCH_SECONDS // METRICS_INTERVAL_S)
 
 
 class KeyFileWriter:
@@ -238,6 +252,7 @@ class MatcherSession(_Station):
             metrics_path, mirror=self._mirror_metrics)
         self.model: tsync.ClockModel | None = None
         self.out = SessionOutcome(role="matcher")
+        self._ready: list[Cluster] = []   # closed, awaiting their batch
 
     def _mirror_metrics(self, row: str) -> None:
         self.ep.send(Message(MsgType.METRICS, row.encode()))
@@ -246,6 +261,9 @@ class MatcherSession(_Station):
 
     def _process_epoch(self, epoch: int, rtimes: np.ndarray,
                        rflags: np.ndarray) -> None:
+        if self._ready and _interval(epoch) > _interval(
+                self._ready[-1].last_epoch):
+            self._run_batch()
         corrected = tsync.apply_model(self.model, rtimes)
         lo = int(corrected[0]) - self.windows.servo_half_width
         hi = int(corrected[-1]) + self.windows.servo_half_width + 1
@@ -264,17 +282,27 @@ class MatcherSession(_Station):
         self.out.epochs += 1
         self.out.sifted_bits += sf.bits.size
         for cluster in self.builder.push(sf.bits, epoch):
-            self._run_cluster(cluster)
+            self._ready.append(cluster)
+            if cluster.cluster_id == 0:
+                self._run_batch()
 
-    def _run_cluster(self, cluster: Cluster) -> None:
+    def _run_batch(self) -> None:
+        batch, self._ready = self._ready, []
+        # an EC and a PA seed per cluster, drawn in cluster order
+        seeds = [(int(self.rng.integers(1, 1 << 62)),
+                  int(self.rng.integers(1, 1 << 62))) for _ in batch]
+        self.ep.send(Message(MsgType.EC_PERMUTE_SEED, wire.encode_seed_msg(
+            [(c.cluster_id, ec) for c, (ec, _) in zip(batch, seeds)])))
+        reports = reconcile_reference(
+            [(c.cluster_id, c.bits, ec) for c, (ec, _) in zip(batch, seeds)],
+            self.eta.value, self.ep.send,
+            lambda: self.ep.recv_type(MsgType.EC_PARITY))
+        for cluster, (_, pa_seed), report in zip(batch, seeds, reports):
+            self._record(report)
+            self._compress(cluster, pa_seed, report)
+
+    def _compress(self, cluster: Cluster, pa_seed: int, report) -> None:
         cid = cluster.cluster_id
-        ec_seed = int(self.rng.integers(1, 1 << 62))
-        self.ep.send(Message(MsgType.EC_PERMUTE_SEED,
-                             wire.encode_seed_msg(cid, ec_seed)))
-        report = reconcile_reference(
-            cluster.bits, cid, ec_seed, self.eta.value,
-            self.ep.send, lambda: self.ep.recv_type(MsgType.EC_PARITY))
-        self._record(report)
         try:
             m = final_length(cluster.r, report.eta, report.c)
         except EtaDomainError:
@@ -285,7 +313,6 @@ class MatcherSession(_Station):
             self.out.clusters_discarded += 1
             self.metrics.add_cluster(0, report.eta, False)
             return
-        pa_seed = int(self.rng.integers(1, 1 << 62))
         self.ep.send(Message(MsgType.PA_SEED,
                              wire.encode_pa_seed(cid, m, pa_seed)))
         ok = self._confirm_key(cid, cluster.bits, m, pa_seed)
@@ -342,10 +369,13 @@ class MatcherSession(_Station):
             self._process_epoch(pkt.epoch, pkt.times(), pkt.basis_flags)
             last_epoch = pkt.epoch
 
-        # the sub-threshold remainder is reconciled as a last, shorter cluster
+        # the sub-threshold remainder is reconciled as a last, shorter
+        # cluster, in one batch with whatever else is still waiting
         tail = self.builder.flush()
         if tail is not None:
-            self._run_cluster(tail)
+            self._ready.append(tail)
+        if self._ready:
+            self._run_batch()
         self.out.model = self.model
         self.metrics.close((last_epoch + 1) * EPOCH_SECONDS)
         self.ep.send(Message(MsgType.BYE, b""))
@@ -400,19 +430,22 @@ class StreamerSession(_Station):
             self._pending[cluster.cluster_id] = cluster
 
     def _on_ec_seed(self, msg: Message) -> None:
-        cid, seed = wire.decode_seed_msg(msg.payload)
-        cluster = self._pending.pop(cid, None)
-        if cluster is None and cid == self.builder.next_id:
-            # the matcher's end-of-session cluster: this station's own
-            # remainder, built from the same coincidence replies
-            cluster = self.builder.flush()
-        if cluster is None:
-            raise ProtocolError(f"reconciliation for unknown cluster {cid}")
-        corrected, report = reconcile_correcting(
-            cluster.bits, cid, seed, self.eta.value,
-            self.ep.send, lambda: self.ep.recv_type(MsgType.EC_PARITY))
-        self._record(report)
-        self._corrected[cid] = (corrected, report)
+        batch = []
+        for cid, seed in wire.decode_seed_msg(msg.payload):
+            cluster = self._pending.pop(cid, None)
+            if cluster is None and cid == self.builder.next_id:
+                # the matcher's end-of-session cluster: this station's own
+                # remainder, built from the same coincidence replies
+                cluster = self.builder.flush()
+            if cluster is None:
+                raise ProtocolError(f"reconciliation for unknown cluster {cid}")
+            batch.append((cid, cluster.bits, seed))
+        results = reconcile_correcting(
+            batch, self.eta.value, self.ep.send,
+            lambda: self.ep.recv_type(MsgType.EC_PARITY))
+        for (cid, _, _), (corrected, report) in zip(batch, results):
+            self._record(report)
+            self._corrected[cid] = (corrected, report)
 
     def _on_pa_seed(self, msg: Message) -> None:
         cid, m, seed = wire.decode_pa_seed(msg.payload)

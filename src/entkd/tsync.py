@@ -48,6 +48,7 @@ _FINE_WINDOW = 1024
 # enough that the residual walk per epoch stays under one 64 ns bin
 _SCAN_LIMIT = 1.3e-6
 _SCAN_STEPS = 27
+_SCAN_BLOCK = 1 << 13
 
 
 class NoPeakError(RuntimeError):
@@ -216,11 +217,16 @@ def _drift_histograms(local_times, remote_times, offset: float, reference: float
     window widened by the largest correction any candidate makes in that
     epoch. Every candidate's histogram is then binned from those pairs'
     de-drifted residuals, so it counts exactly the pairs a search of the mid
-    window at that drift would find.
+    window at that drift would find. All candidates are binned by one
+    bincount over (candidate, bin) per block of _SCAN_BLOCK pairs, which
+    keeps the (candidate, pair) array small; each candidate's row has a
+    discard bin at either end for residuals outside the window.
     """
     candidates = np.linspace(-_SCAN_LIMIT, _SCAN_LIMIT, _SCAN_STEPS)
     n_bins = 2 * _MID_WINDOW // _MID_BIN_TICKS
-    hists = np.zeros((_SCAN_STEPS, n_bins), dtype=np.int64)
+    row = n_bins + 2
+    row_base = (np.arange(_SCAN_STEPS) * row + 1)[:, None]
+    counts = np.zeros(_SCAN_STEPS * row, dtype=np.int64)
     remote_times = np.asarray(remote_times, dtype=np.int64)
     cuts = np.flatnonzero(np.diff(remote_times >> 32)) + 1
     for chunk in np.split(remote_times, cuts):
@@ -229,11 +235,20 @@ def _drift_histograms(local_times, remote_times, offset: float, reference: float
         r_idx, base = _pair_deltas(local_times, chunk - int(round(offset)),
                                    _MID_WINDOW + widen)
         tau = tau[r_idx]
-        for hist, d in zip(hists, candidates):
-            deltas = base - np.rint(d * tau).astype(np.int64)
-            deltas = deltas[(deltas >= -_MID_WINDOW) & (deltas < _MID_WINDOW)]
-            hist += np.bincount((deltas + _MID_WINDOW) // _MID_BIN_TICKS, minlength=n_bins)
-    return candidates, hists
+        base += _MID_WINDOW
+        for lo in range(0, base.size, _SCAN_BLOCK):
+            # float64 holds these integer residuals exactly, and scaling by
+            # a power of two then flooring bins them as integer division would
+            res = np.multiply(candidates[:, None], tau[None, lo:lo + _SCAN_BLOCK])
+            np.rint(res, out=res)
+            np.subtract(base[lo:lo + _SCAN_BLOCK], res, out=res)
+            res *= 1.0 / _MID_BIN_TICKS
+            np.floor(res, out=res)
+            np.clip(res, -1, n_bins, out=res)
+            res += row_base
+            counts += np.bincount(res.astype(np.intp).ravel(),
+                                  minlength=counts.size)
+    return candidates, counts.reshape(_SCAN_STEPS, row)[:, 1:-1]
 
 
 def _scan_drift(local_times, remote_times, offset: float, reference: float) -> float:

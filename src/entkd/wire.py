@@ -8,7 +8,9 @@ Three layers live here:
   * Message framing: [u8 tag][u32 length LE][payload] over any reliable
     ordered byte stream.
   * Payload codecs for the small control messages (coincidence replies,
-    reconciliation parities, seeds, digests).
+    reconciliation parities and seeds, digests). One EC_PARITY frame
+    carries a section for each cluster of a reconciliation batch, and one
+    EC_PERMUTE_SEED announces the batch.
 
 All multi-byte header fields are little-endian. Bit packing is MSB-first
 (numpy packbits convention) throughout.
@@ -20,6 +22,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from math import log2
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +31,9 @@ from .core import EPOCH_TICKS, ContractViolation, EventStream, detector_basis
 RICE_K_MAX = 40
 # 2: six-pass reconciliation schedule, end-of-session tail cluster
 # 3: timing packet body in sections (unary quotients, remainders, flags)
-WIRE_VERSION = 3
+# 4: batched reconciliation: an EC_PARITY frame holds one section per
+#    cluster, an EC_PERMUTE_SEED announces a whole batch
+WIRE_VERSION = 4
 
 
 class DecodeError(ValueError):
@@ -255,7 +260,7 @@ def decode_timing(b: bytes) -> TimingPacket:
 
 _HELLO = struct.Struct("<HBI")
 _U32 = struct.Struct("<I")
-_EC_HDR = struct.Struct("<IHBI")
+_EC_SECTION = struct.Struct("<IHBI")
 _SEED = struct.Struct("<IQ")
 _PA = struct.Struct("<IIQ")
 
@@ -297,33 +302,84 @@ def decode_coinc_reply(b: bytes) -> tuple[int, np.ndarray]:
     return epoch, np.cumsum(gaps)
 
 
-def encode_ec_parity(cluster: int, round_id: int, counted: bool, bits: np.ndarray) -> bytes:
-    arr = np.asarray(bits, dtype=np.uint8)
-    head = _EC_HDR.pack(cluster, round_id, 1 if counted else 0, arr.size)
-    return head + (np.packbits(arr).tobytes() if arr.size else b"")
+class ParitySection(NamedTuple):
+    """One cluster's share of an EC_PARITY frame."""
+
+    cluster_id: int
+    round_id: int
+    counted: bool
+    bits: np.ndarray
 
 
-def decode_ec_parity(b: bytes) -> tuple[int, int, bool, np.ndarray]:
-    if len(b) < _EC_HDR.size:
-        raise DecodeError("truncated parity message", len(b))
-    cluster, round_id, counted, n = _EC_HDR.unpack_from(b, 0)
-    if len(b) != _EC_HDR.size + (n + 7) // 8:
-        raise DecodeError("parity payload length mismatch", _EC_HDR.size)
-    if n:
-        bits = np.unpackbits(np.frombuffer(b, dtype=np.uint8, offset=_EC_HDR.size))[:n]
-    else:
-        bits = np.empty(0, dtype=np.uint8)
-    return cluster, round_id, bool(counted), bits
+def encode_ec_parity(sections) -> bytes:
+    """[u32 section count], then per section [u32 cluster][u16 round]
+    [u8 counted][u32 bit count], then every section's bits in table order
+    as one bit stream zero-padded to a byte."""
+    if not sections:
+        raise ContractViolation("a parity frame needs at least one section")
+    table = b"".join([_EC_SECTION.pack(s.cluster_id, s.round_id, s.counted,
+                                       s.bits.size) for s in sections])
+    bits = (sections[0].bits if len(sections) == 1
+            else np.concatenate([s.bits for s in sections]))
+    return _U32.pack(len(sections)) + table + np.packbits(bits).tobytes()
 
 
-def encode_seed_msg(cluster: int, seed: int) -> bytes:
-    return _SEED.pack(cluster, seed)
+def decode_ec_parity(b: bytes) -> list[ParitySection]:
+    if len(b) < _U32.size:
+        raise DecodeError("truncated parity frame", len(b))
+    n = _U32.unpack_from(b, 0)[0]
+    if n == 0:
+        raise DecodeError("parity frame with no sections", 0)
+    body = _U32.size + n * _EC_SECTION.size
+    if len(b) < body:
+        raise DecodeError("truncated section table", len(b))
+    bits = np.unpackbits(np.frombuffer(b, dtype=np.uint8, offset=body))
+    sections = []
+    seen = set()
+    pos = 0
+    for off in range(_U32.size, body, _EC_SECTION.size):
+        cluster, round_id, counted, nbits = _EC_SECTION.unpack_from(b, off)
+        if cluster in seen:
+            raise DecodeError(f"cluster {cluster} repeated in parity frame", off)
+        if counted > 1:
+            raise DecodeError(f"counted flag {counted} is not 0/1", off + 6)
+        if pos + nbits > bits.size:
+            raise DecodeError("section bits overrun the frame body", off + 7)
+        seen.add(cluster)
+        sections.append(ParitySection(cluster, round_id, counted == 1,
+                                      bits[pos:pos + nbits]))
+        pos += nbits
+    pad = bits.size - pos
+    if pad >= 8:
+        raise DecodeError("parity frame longer than its sections", body)
+    if b[-1] & ((1 << pad) - 1):
+        raise DecodeError("nonzero padding after parity bits", len(b) - 1)
+    return sections
 
 
-def decode_seed_msg(b: bytes) -> tuple[int, int]:
-    if len(b) != _SEED.size:
-        raise DecodeError("bad seed message size", 0)
-    return _SEED.unpack(b)
+def encode_seed_msg(seeds) -> bytes:
+    """[u32 count], then (u32 cluster, u64 seed) per cluster of a batch."""
+    if not seeds:
+        raise ContractViolation("a seed message needs at least one cluster")
+    return _U32.pack(len(seeds)) + b"".join(_SEED.pack(c, s) for c, s in seeds)
+
+
+def decode_seed_msg(b: bytes) -> list[tuple[int, int]]:
+    if len(b) < _U32.size:
+        raise DecodeError("truncated seed message", len(b))
+    n = _U32.unpack_from(b, 0)[0]
+    if n == 0:
+        raise DecodeError("seed message with no clusters", 0)
+    if len(b) != _U32.size + n * _SEED.size:
+        raise DecodeError("seed message length mismatch", _U32.size)
+    seeds = list(_SEED.iter_unpack(b[_U32.size:]))
+    seen = set()
+    for i, (cluster, _) in enumerate(seeds):
+        if cluster in seen:
+            raise DecodeError(f"cluster {cluster} repeated in seed message",
+                              _U32.size + i * _SEED.size)
+        seen.add(cluster)
+    return seeds
 
 
 def encode_pa_seed(cluster: int, m: int, seed: int) -> bytes:

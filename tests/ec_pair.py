@@ -1,32 +1,34 @@
-"""Both sides of one reconciliation, run in lockstep in a single thread.
+"""Both sides of one reconciliation batch, run in lockstep in a single thread.
 
 The node runs each side at its own station over a socket. Tests need the
-two in one call: `reconcile_pair` steps the reference and correcting
-engines in turn, hands each message straight to the other side's inbox,
-and optionally records every message as (sender label, Message), with
-"a" for the reference side and "b" for the correcting side.
+two in one call: `reconcile_batch_pair` steps the reference and
+correcting sides of a batch in turn, hands each frame straight to the
+other side's inbox, and optionally records every frame as
+(sender label, Message), with "a" for the reference side and "b" for the
+correcting side. `reconcile_pair` is the batch of one cluster.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from entkd.ecorr import DEFAULT_ETA, ROLE_CORRECTING, ROLE_REFERENCE, _Engine
+from entkd.ecorr import (DEFAULT_ETA, ROLE_CORRECTING, ROLE_REFERENCE,
+                         _engines, _lockstep)
 from entkd.wire import ProtocolError
 
 
-def reconcile_pair(bits_ref, bits_cor, cluster_id=0, shared_seed=1,
-                   eta_est=DEFAULT_ETA, transcript=None):
-    """Reconcile two in-memory bit arrays.
+def reconcile_batch_pair(batch_ref, batch_cor, eta_est=DEFAULT_ETA,
+                         transcript=None):
+    """Reconcile two batches of in-memory (cluster id, bits, shared seed)
+    triples, one per side.
 
-    Returns (corrected bits, reference report, correcting report).
+    Returns (corrected bit arrays, reference reports, correcting reports),
+    each in batch order.
     """
-    engines = (
-        _Engine(ROLE_REFERENCE, bits_ref, cluster_id, shared_seed, eta_est),
-        _Engine(ROLE_CORRECTING, bits_cor, cluster_id, shared_seed, eta_est),
-    )
+    engines = (_engines(ROLE_REFERENCE, batch_ref, eta_est),
+               _engines(ROLE_CORRECTING, batch_cor, eta_est))
     labels = ("a", "b")
-    steps = [eng.run() for eng in engines]
+    steps = [_lockstep(side) for side in engines]
     inbox = (deque(), deque())
     waiting = [False, False]   # parked on a receive
     done = [False, False]
@@ -51,4 +53,16 @@ def reconcile_pair(bits_ref, bits_cor, cluster_id=0, shared_seed=1,
                     inbox[1 - i].append(out)
         if not moved:
             raise ProtocolError("both sides wait for a message")
-    return engines[1].bits, reports[0], reports[1]
+    return [eng.bits for eng in engines[1]], reports[0], reports[1]
+
+
+def reconcile_pair(bits_ref, bits_cor, cluster_id=0, shared_seed=1,
+                   eta_est=DEFAULT_ETA, transcript=None):
+    """Reconcile two in-memory bit arrays as a batch of one.
+
+    Returns (corrected bits, reference report, correcting report).
+    """
+    out, ref, cor = reconcile_batch_pair(
+        [(cluster_id, bits_ref, shared_seed)],
+        [(cluster_id, bits_cor, shared_seed)], eta_est, transcript)
+    return out[0], ref[0], cor[0]

@@ -45,6 +45,35 @@ def test_peer_endpoint_mixed_recv():
         io2.close()
 
 
+def test_peer_endpoint_holdback_interleaved_types():
+    # three types interleaved: typed pulls follow each type's own order,
+    # and plain recv replays what is parked in arrival order
+    io1, io2 = _io_pair()
+    try:
+        peer = PeerEndpoint(io2)
+        types = (MsgType.TIMING, MsgType.COINC_REPLY, MsgType.METRICS)
+        sent = [Message(types[i % 3 if i < 12 else (i * 7) % 3],
+                        f"m{i}".encode()) for i in range(30)]
+        for msg in sent:
+            io1.send(msg)
+        io1.send(Message(MsgType.BYE))
+        # pull every COINC_REPLY, then one METRICS, parking the rest
+        replies = [m for m in sent if m.type == MsgType.COINC_REPLY]
+        for want in replies:
+            assert peer.recv_type(MsgType.COINC_REPLY) == want
+        first_metrics = next(m for m in sent if m.type == MsgType.METRICS)
+        assert peer.recv_type(MsgType.METRICS) == first_metrics
+        # a pull of two types takes whichever of them arrived first
+        rest = [m for m in sent
+                if m.type != MsgType.COINC_REPLY and m is not first_metrics]
+        assert peer.recv_type(MsgType.METRICS, MsgType.TIMING) == rest[0]
+        assert [peer.recv() for _ in rest[1:]] == rest[1:]
+        assert peer.recv().type == MsgType.BYE
+    finally:
+        io1.close()
+        io2.close()
+
+
 def test_message_io_roundtrip():
     io1, io2 = _io_pair()
     try:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ec_pair import reconcile_pair
+from ec_pair import reconcile_batch_pair, reconcile_pair
 from entkd.ecorr import (BICONF_TARGET, MIN_BLOCK, N_PASSES, Cluster,
                          ClusterBuilder, EtaEstimator, block_schedule,
                          reconcile_correcting)
-from entkd.wire import Message, MsgType, ProtocolError, decode_ec_parity
+from entkd.wire import (Message, MsgType, ProtocolError, decode_ec_parity,
+                        encode_ec_parity)
 
 
 def test_initial_block_size():
@@ -147,10 +148,10 @@ def test_random_instances_and_audit():
             # the envelope makes the cost auditable from the raw transcript
             counted = 0
             for _, msg in transcript:
-                if msg.type == MsgType.EC_PARITY:
-                    _, _, was_counted, bits = decode_ec_parity(msg.payload)
-                    if was_counted:
-                        counted += bits.size
+                assert msg.type == MsgType.EC_PARITY
+                for sec in decode_ec_parity(msg.payload):
+                    if sec.counted:
+                        counted += sec.bits.size
             assert counted == rep_ref.c
 
 
@@ -174,37 +175,121 @@ def test_determinism():
     assert blob3 != blob1             # but down a different dialogue
 
 
-def _reference_messages(bits, cluster_id, shared_seed):
+def _reference_frames(batch):
+    """The reference side's frames for a batch reconciled against itself."""
     transcript = []
-    reconcile_pair(bits, bits.copy(), cluster_id, shared_seed,
-                   transcript=transcript)
+    reconcile_batch_pair(batch, [(c, b.copy(), s) for c, b, s in batch],
+                         transcript=transcript)
     return [msg for label, msg in transcript if label == "a"]
 
 
-def _replay(messages, bits, cluster_id, shared_seed):
-    """Run a correcting engine against recorded reference messages."""
-    feed = iter(messages)
-    return reconcile_correcting(bits, cluster_id, shared_seed, 0.05,
-                                lambda msg: None, lambda: next(feed))
+def _replay(batch, frames):
+    """Run a correcting batch against recorded reference frames."""
+    feed = iter(frames)
+    return reconcile_correcting(batch, 0.05, lambda msg: None,
+                                lambda: next(feed))
 
 
 def test_tampered_round_id_detected():
     rng = np.random.default_rng(9)
     bits = rng.integers(0, 2, 256, dtype=np.uint8)
-    messages = _reference_messages(bits, 0, 55)
-    _replay(messages, bits.copy(), 0, 55)  # untouched, it goes through
+    messages = _reference_frames([(0, bits, 55)])
+    _replay([(0, bits.copy(), 55)], messages)  # untouched, it goes through
     payload = bytearray(messages[0].payload)
-    payload[4] ^= 0x01  # low byte of the round id
+    payload[8] ^= 0x01  # low byte of the first section's round id
     messages[0] = Message(messages[0].type, bytes(payload))
     with pytest.raises(ProtocolError, match="round"):
-        _replay(messages, bits.copy(), 0, 55)
+        _replay([(0, bits.copy(), 55)], messages)
 
 
 def test_mismatched_cluster_id_detected():
     bits = np.zeros(64, dtype=np.uint8)
-    messages = _reference_messages(bits, 1, 5)
+    messages = _reference_frames([(1, bits, 5)])
     with pytest.raises(ProtocolError, match="cluster id"):
-        _replay(messages, bits.copy(), 2, 5)
+        _replay([(2, bits.copy(), 5)], messages)
+
+
+def _sections_by_cluster(transcript):
+    """Every section of a transcript as (sender, round, counted, bits),
+    grouped by cluster id in the order sent."""
+    out = {}
+    for label, msg in transcript:
+        for sec in decode_ec_parity(msg.payload):
+            out.setdefault(sec.cluster_id, []).append(
+                (label, sec.round_id, sec.counted, sec.bits.tobytes()))
+    return out
+
+
+def test_batch_matches_clusters_run_alone():
+    # one dialogue for the whole batch, yet every cluster corrects, leaks
+    # and exchanges exactly what it does on its own
+    rng = np.random.default_rng(12)
+    for trial in range(6):
+        eta_est = float(rng.uniform(0.005, 0.3))
+        batch_ref, batch_cor = [], []
+        for j in range(int(rng.integers(2, 7))):
+            r = int(rng.choice([1, 2, 17, 300, 2000, 5000])
+                    if j < 2 else rng.integers(1, 5001))
+            ref = rng.integers(0, 2, r, dtype=np.uint8)
+            eta = rng.uniform(0.005, 0.3)
+            cor = ref ^ (rng.random(r) < eta).astype(np.uint8)
+            cid, seed = 10 * trial + 3 * j, int(rng.integers(1, 2**62))
+            batch_ref.append((cid, ref, seed))
+            batch_cor.append((cid, cor, seed))
+        transcript = []
+        outs, reps_ref, reps_cor = reconcile_batch_pair(
+            batch_ref, batch_cor, eta_est, transcript)
+        sections = _sections_by_cluster(transcript)
+        longest = 0
+        for k, ((cid, ref, seed), (_, cor, _)) in enumerate(
+                zip(batch_ref, batch_cor)):
+            alone = []
+            out, rep_ref, rep_cor = reconcile_pair(ref, cor, cid, seed,
+                                                   eta_est, alone)
+            assert np.array_equal(outs[k], out)
+            assert np.array_equal(out, ref)
+            assert reps_ref[k] == rep_ref and reps_cor[k] == rep_cor
+            assert sections[cid] == _sections_by_cluster(alone)[cid]
+            longest = max(longest, len(alone))
+        # a frame per round trip leg, plus at most one for the final tally
+        assert longest <= len(transcript) <= longest + 1
+
+
+def test_batch_frame_must_carry_each_waiting_cluster_once():
+    bits = np.zeros(64, dtype=np.uint8)
+    batch = [(4, bits, 7), (5, bits, 8)]
+    first = decode_ec_parity(_reference_frames(batch)[0].payload)
+    assert [sec.cluster_id for sec in first] == [4, 5]
+
+    def frame(sections):
+        return Message(MsgType.EC_PARITY, encode_ec_parity(sections))
+
+    cases = (
+        ([first[0]], "cluster id 5 missing"),
+        ([first[0], first[1], first[1]._replace(cluster_id=9)],
+         "cluster id 9 is not in the batch"),
+        ([first[1], first[0]], "cluster ids"),
+    )
+    for sections, why in cases:
+        with pytest.raises(ProtocolError, match=why):
+            _replay(batch, [frame(sections)])
+    # the wire decoder already refuses a cluster repeated in one frame
+    with pytest.raises(ProtocolError, match="repeated"):
+        _replay(batch, [frame([first[0], first[1], first[0]])])
+    with pytest.raises(ProtocolError, match="EC_PARITY"):
+        _replay(batch, [Message(MsgType.BYE, b"")])
+    with pytest.raises(ValueError, match="distinct"):
+        _replay([(4, bits, 7), (4, bits, 8)], [])
+
+
+def test_counted_flag_is_checked():
+    bits = np.zeros(64, dtype=np.uint8)
+    frames = _reference_frames([(0, bits, 3)])
+    sec = decode_ec_parity(frames[0].payload)[0]
+    frames[0] = Message(MsgType.EC_PARITY,
+                        encode_ec_parity([sec._replace(counted=False)]))
+    with pytest.raises(ProtocolError, match="counted flag"):
+        _replay([(0, bits, 3)], frames)
 
 
 def test_small_and_edge_sizes():

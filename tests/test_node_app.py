@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entkd import app, cli
+from ec_pair import reconcile_pair
+from entkd import app, cli, node
 from entkd.channel import MessageIO
 from entkd.core import EPOCH_TICKS, EventStream
 from entkd.node import (PROTO_ROLE_MATCHER, PROTO_ROLE_STREAMER,
@@ -189,6 +190,70 @@ def test_loopback_determinism(tmp_path):
             (d / "a.csv").read_bytes(),
         ))
     assert files[0] == files[1]
+
+
+def test_loopback_batches_deterministic_and_fewer_round_trips(
+        tmp_path, monkeypatch):
+    # a noisy link over three metrics intervals: the first cluster goes
+    # alone, then one batch per interval, the last one with the tail
+    frames = [0]
+    orig_send = MessageIO.send
+
+    def counting_send(self, msg):
+        if msg.type == MsgType.EC_PARITY:
+            frames[0] += 1
+        return orig_send(self, msg)
+
+    monkeypatch.setattr(MessageIO, "send", counting_send)
+    batches = {}
+
+    def recording(name):
+        orig = getattr(node, name)
+
+        def run(batch, eta_est, send, recv):
+            batches[name].append(([(c, b.copy(), s) for c, b, s in batch],
+                                  eta_est))
+            return orig(batch, eta_est, send, recv)
+        monkeypatch.setattr(node, name, run)
+
+    recording("reconcile_reference")
+    recording("reconcile_correcting")
+    runs = []
+    for tag in ("one", "two"):
+        d = tmp_path / tag
+        d.mkdir()
+        frames[0] = 0
+        batches.update(reconcile_reference=[], reconcile_correcting=[])
+        cfg = app.load_config(_write_ini(
+            d / "s.ini", duration=21.0, seed=5, pair_rate=2000.0,
+            vis_hv=0.86, vis_da=0.86, jitter=3.36, darks=200.0,
+            cluster_bits=500, keys_a=d / "a.etky", keys_b=d / "b.etky"))
+        out_m, _ = app.run_loopback(cfg)
+        ids = [[c for c, _, _ in batch]
+               for batch, _ in batches["reconcile_reference"]]
+        runs.append(((d / "a.etky").read_bytes(), (d / "b.etky").read_bytes(),
+                     frames[0], ids))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == runs[0][1] and out_m.secret_bits > 0
+    ids = runs[0][3]
+    assert ids[0] == [0] and len(ids) == 4
+    assert [c for batch in ids for c in batch] == list(range(len(
+        out_m.reports)))
+
+    # every cluster replayed alone, on the same bits, seed and estimate
+    alone = 0
+    pairs = zip(batches["reconcile_reference"],
+                batches["reconcile_correcting"])
+    for (ref_batch, eta), (cor_batch, eta_cor) in pairs:
+        assert eta == eta_cor
+        for (cid, ref, seed), (cid_cor, cor, seed_cor) in zip(ref_batch,
+                                                              cor_batch):
+            assert (cid, seed) == (cid_cor, seed_cor)
+            transcript = []
+            _, rep, _ = reconcile_pair(ref, cor, cid, seed, eta, transcript)
+            assert rep == out_m.reports[cid]
+            alone += len(transcript)
+    assert runs[0][2] < alone / 3
 
 
 # SHA-256 of each station's key file from configs/nominal_run.ini. A change
@@ -473,7 +538,7 @@ def test_streamer_rejects_ec_seed_for_unknown_cluster():
             peer.send(Message(MsgType.COINC_REPLY,
                               encode_coinc_reply(first.epoch, kept)))
         peer.send(Message(MsgType.EC_PERMUTE_SEED,
-                          encode_seed_msg(bad_cid, 12345)))
+                          encode_seed_msg([(bad_cid, 12345)])))
         worker.join(timeout=30)
         peer.close()
         io_s.close()
@@ -484,7 +549,8 @@ def test_streamer_rejects_ec_seed_for_unknown_cluster():
 
 def test_hello_with_wrong_version_is_refused():
     sa, sb = _small_link(seed=34)
-    for other in (WIRE_VERSION - 1, WIRE_VERSION + 1):
+    # 3 is the last version with one EC_PARITY message per cluster
+    for other in sorted({3, WIRE_VERSION - 1, WIRE_VERSION + 1}):
         # a matcher turns away a streamer that speaks another version
         io_m, peer = _io_pair()
         matcher = MatcherSession(io_m, sa)

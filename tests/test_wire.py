@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entkd.core import EPOCH_TICKS, EventStream
+from entkd.core import EPOCH_TICKS, ContractViolation, EventStream
 from entkd.wire import (RICE_K_MAX, WIRE_VERSION, DecodeError, Message,
-                        MsgType, ProtocolError, TimingPacket, choose_rice_k,
+                        MsgType, ParitySection, ProtocolError, TimingPacket,
+                        choose_rice_k,
                         decode_coinc_reply, decode_ec_parity, decode_hello,
                         decode_key_hash, decode_pa_seed, decode_seed_msg,
                         decode_timing, dedupe_ticks, encode_coinc_reply,
@@ -228,20 +229,102 @@ def test_coinc_reply_validation():
         decode_coinc_reply(blob[:-1])
 
 
+def _sections(*specs):
+    return [ParitySection(cid, rid, counted, np.array(bits, dtype=np.uint8))
+            for cid, rid, counted, bits in specs]
+
+
+def _assert_sections_equal(got, want):
+    assert [s[:3] for s in got] == [s[:3] for s in want]
+    for g, w in zip(got, want):
+        assert g.bits.dtype == np.uint8 and np.array_equal(g.bits, w.bits)
+
+
 def test_ec_parity_roundtrip():
-    bits = np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.uint8)
-    cid, rid, counted, out = decode_ec_parity(
-        encode_ec_parity(9, 110, True, bits))
-    assert (cid, rid, counted) == (9, 110, True)
-    assert np.array_equal(out, bits)
-    cid, rid, counted, out = decode_ec_parity(
-        encode_ec_parity(9, 111, False, np.array([], dtype=np.uint8)))
-    assert counted is False and out.size == 0
+    want = _sections((9, 110, True, [1, 0, 1, 1, 0, 0, 1]),
+                     (2, 111, False, []),
+                     (70000, 5, True, [1] * 17))
+    _assert_sections_equal(decode_ec_parity(encode_ec_parity(want)), want)
+    one = _sections((9, 111, False, []))
+    assert encode_ec_parity(one) == bytes.fromhex("01000000" "09000000"
+                                                  "6f00" "00" "00000000")
+    _assert_sections_equal(decode_ec_parity(encode_ec_parity(one)), one)
+    with pytest.raises(ContractViolation):
+        encode_ec_parity([])
+
+
+# two sections: cluster 2, round 110, counted, bits 101; cluster 5,
+# round 111, not counted, bits 110011
+GOLDEN_PARITY = bytes.fromhex(
+    "02000000"
+    "02000000" "6e00" "01" "03000000"
+    "05000000" "6f00" "00" "06000000"
+    # 101 110011, padded: 1011 1001 | 1000 0000
+    "b980")
+
+
+def test_golden_ec_parity_bytes():
+    want = _sections((2, 110, True, [1, 0, 1]),
+                     (5, 111, False, [1, 1, 0, 0, 1, 1]))
+    assert encode_ec_parity(want) == GOLDEN_PARITY
+    _assert_sections_equal(decode_ec_parity(GOLDEN_PARITY), want)
+
+
+def test_golden_seed_bytes():
+    seeds = [(3, 0x0102030405060708), (4, 9)]
+    blob = bytes.fromhex("02000000"
+                         "03000000" "0807060504030201"
+                         "04000000" "0900000000000000")
+    assert encode_seed_msg(seeds) == blob
+    assert decode_seed_msg(blob) == seeds
+
+
+def test_ec_parity_decoder_rejections():
+    g = GOLDEN_PARITY
+
+    def patched(offset, value):
+        b = bytearray(g)
+        b[offset] = value
+        return bytes(b)
+
+    cases = (
+        ("truncated parity frame", g[:3]),
+        ("no sections", bytes(4)),
+        # the table promises two sections but holds one and a half
+        ("truncated section table", g[:4 + 11 + 5]),
+        # three sections declared: the table runs into the parity bits
+        ("truncated section table", patched(0, 3)),
+        # second section claims 14 bits, 17 in all, past the 16 sent
+        ("overrun", patched(4 + 11 + 7, 14)),
+        ("nonzero padding", g[:-1] + bytes([0x81])),
+        ("longer than its sections", g + b"\x00"),
+        ("repeated", patched(4 + 11, 2)),
+        ("counted flag", patched(4 + 6, 2)),
+    )
+    for why, blob in cases:
+        with pytest.raises(DecodeError, match=why):
+            decode_ec_parity(blob)
+
+
+def test_seed_decoder_rejections():
+    blob = encode_seed_msg([(3, 7), (4, 9)])
+    with pytest.raises(DecodeError, match="no clusters"):
+        decode_seed_msg(bytes(4))
+    with pytest.raises(ContractViolation):
+        encode_seed_msg([])
+    with pytest.raises(DecodeError, match="truncated"):
+        decode_seed_msg(blob[:2])
+    with pytest.raises(DecodeError, match="length mismatch"):
+        decode_seed_msg(blob[:-1])
+    with pytest.raises(DecodeError, match="length mismatch"):
+        decode_seed_msg(blob + bytes(12))
+    with pytest.raises(DecodeError, match="repeated"):
+        decode_seed_msg(encode_seed_msg([(3, 7), (3, 9)]))
 
 
 def test_control_codecs():
     assert decode_hello(encode_hello(1, 42)) == (WIRE_VERSION, 1, 42)
-    assert decode_seed_msg(encode_seed_msg(7, 2**63 + 5)) == (7, 2**63 + 5)
+    assert decode_seed_msg(encode_seed_msg([(7, 2**63 + 5)])) == [(7, 2**63 + 5)]
     assert decode_pa_seed(encode_pa_seed(3, 1000, 99)) == (3, 1000, 99)
     assert decode_key_hash(encode_key_hash(8, 2**64 - 1)) == (8, 2**64 - 1)
     with pytest.raises(DecodeError):
