@@ -432,6 +432,10 @@ class _Engine:
             yield from self._run_pass(p)
         yield from self._run_biconf()
         yield from self._finish()
+        # free the pass state: the batch's other engines may still be in
+        # dialogue, and a batch should hold state only for those
+        self.perm, self.inv, self.pbits, self.block_state, self.known = (
+            [], [], [], [], [])
         summaries = tuple(self.pass_summaries + [{
             "pass": "biconf",
             "rounds": self.biconf_rounds,

@@ -1,9 +1,8 @@
 """Two-party session engine.
 
 One station (the streamer) sends its timestamp packets; the other (the
-matcher) locks clocks, finds coincidences, and drives sifting, error
-correction, compression, and key verification back over the same
-channel, a connected socket.
+matcher) locks clocks, finds coincidences, and drives sifting and error
+correction back over the same channel, a connected socket.
 
 Clusters are reconciled in batches, and which clusters form a batch
 depends only on the data: the session's first cluster goes alone, as
@@ -12,7 +11,13 @@ that, every cluster closed within one metrics interval is reconciled
 together when the epoch clock crosses into the next interval, before
 that epoch is counted, so the outcomes land in the interval's metrics
 row. What is left at the end of the stream, tail included, is the last
-batch. The streamer follows the matcher's batch announcements.
+batch. The streamer follows the matcher's batch announcements, which
+carry each cluster's error-correction and compression seeds.
+
+After a batch is reconciled, each station works out every cluster's final
+length from its own reconciliation report (the two reports agree), so no
+length crosses the wire: each compresses its kept clusters and sends one
+digest list, and keeps the keys whose digests match the peer's.
 """
 
 from __future__ import annotations
@@ -199,36 +204,57 @@ def _check_hello(msg: Message, want_role: int) -> int:
 
 
 class _Station:
-    """What both stations do with each cluster they reconcile.
+    """What both stations do with each batch they reconcile.
 
     Subclasses set ep, eta, keys and out.
     """
 
-    def _record(self, report) -> None:
-        self.eta.update(report.eta)
-        self.out.qber_last = report.eta
-        self.out.reports.append(report)
+    def _confirm_batch(self, batch) -> list[tuple[int, bool]]:
+        """Compress, confirm and store a reconciled batch.
 
-    def _confirm_key(self, cid: int, bits: np.ndarray, m: int,
-                     seed: int) -> bool:
-        """Compress to m bits and swap digests with the peer; keep the key
-        and return True when the two agree."""
-        key = toeplitz_compress(bits, seed, m)
-        digest = key_digest(m, key)
-        self.ep.send(Message(MsgType.KEY_HASH,
-                             wire.encode_key_hash(cid, digest)))
-        rcid, rdigest = wire.decode_key_hash(
-            self.ep.recv_type(MsgType.KEY_HASH).payload)
-        if rcid != cid:
-            raise ProtocolError(f"key digest for cluster {rcid}, expected {cid}")
-        if rdigest != digest:
-            self.out.clusters_mismatched += 1
-            return False
-        if self.keys:
-            self.keys.append(cid, key)
-        self.out.secret_bits += m
-        self.out.clusters_ok += 1
-        return True
+        batch holds (bits, PA seed, report) per cluster in batch order.
+        Each cluster's final length comes from this station's own report;
+        the kept clusters' digests go to the peer in one KEY_HASH, whose
+        reply must list the same clusters in the same order. Returns
+        (secret bits, mismatched) per cluster: (0, False) when discarded.
+        """
+        verdicts = [(0, False)] * len(batch)
+        kept = []   # (index in batch, cluster id, key, digest)
+        for i, (bits, seed, report) in enumerate(batch):
+            self.eta.update(report.eta)
+            self.out.qber_last = report.eta
+            self.out.reports.append(report)
+            try:
+                m = final_length(report.r, report.eta, report.c)
+            except EtaDomainError:
+                m = None
+            if m is None:
+                self.out.clusters_discarded += 1
+                continue
+            key = toeplitz_compress(bits, seed, m)
+            kept.append((i, report.cluster_id, key, key_digest(m, key)))
+        if not kept:
+            return verdicts
+        self.ep.send(Message(MsgType.KEY_HASH, wire.encode_records(
+            MsgType.KEY_HASH, [(cid, digest) for _, cid, _, digest in kept])))
+        theirs = wire.decode_records(
+            MsgType.KEY_HASH, self.ep.recv_type(MsgType.KEY_HASH).payload)
+        got = [cid for cid, _ in theirs]
+        want = [cid for _, cid, _, _ in kept]
+        if got != want:
+            raise ProtocolError(f"key digests for clusters {got}, "
+                                f"expected {want}")
+        for (i, cid, key, digest), (_, peer_digest) in zip(kept, theirs):
+            if peer_digest != digest:
+                self.out.clusters_mismatched += 1
+                verdicts[i] = (0, True)
+                continue
+            if self.keys:
+                self.keys.append(cid, key)
+            self.out.secret_bits += key.size
+            self.out.clusters_ok += 1
+            verdicts[i] = (key.size, False)
+        return verdicts
 
 
 class MatcherSession(_Station):
@@ -289,34 +315,19 @@ class MatcherSession(_Station):
     def _run_batch(self) -> None:
         batch, self._ready = self._ready, []
         # an EC and a PA seed per cluster, drawn in cluster order
-        seeds = [(int(self.rng.integers(1, 1 << 62)),
-                  int(self.rng.integers(1, 1 << 62))) for _ in batch]
-        self.ep.send(Message(MsgType.EC_PERMUTE_SEED, wire.encode_seed_msg(
-            [(c.cluster_id, ec) for c, (ec, _) in zip(batch, seeds)])))
+        seeds = [(c.cluster_id, int(self.rng.integers(1, 1 << 62)),
+                  int(self.rng.integers(1, 1 << 62))) for c in batch]
+        self.ep.send(Message(MsgType.BATCH_SEEDS, wire.encode_records(
+            MsgType.BATCH_SEEDS, seeds)))
         reports = reconcile_reference(
-            [(c.cluster_id, c.bits, ec) for c, (ec, _) in zip(batch, seeds)],
+            [(c.cluster_id, c.bits, ec) for c, (_, ec, _) in zip(batch, seeds)],
             self.eta.value, self.ep.send,
             lambda: self.ep.recv_type(MsgType.EC_PARITY))
-        for cluster, (_, pa_seed), report in zip(batch, seeds, reports):
-            self._record(report)
-            self._compress(cluster, pa_seed, report)
-
-    def _compress(self, cluster: Cluster, pa_seed: int, report) -> None:
-        cid = cluster.cluster_id
-        try:
-            m = final_length(cluster.r, report.eta, report.c)
-        except EtaDomainError:
-            m = None
-        if m is None or m <= 0:
-            self.ep.send(Message(MsgType.PA_SEED,
-                                 wire.encode_pa_seed(cid, 0, 0)))
-            self.out.clusters_discarded += 1
-            self.metrics.add_cluster(0, report.eta, False)
-            return
-        self.ep.send(Message(MsgType.PA_SEED,
-                             wire.encode_pa_seed(cid, m, pa_seed)))
-        ok = self._confirm_key(cid, cluster.bits, m, pa_seed)
-        self.metrics.add_cluster(m if ok else 0, report.eta, not ok)
+        verdicts = self._confirm_batch(
+            [(c.bits, pa, rep)
+             for c, (_, _, pa), rep in zip(batch, seeds, reports)])
+        for report, (secret, mismatched) in zip(reports, verdicts):
+            self.metrics.add_cluster(secret, report.eta, mismatched)
 
     # -- session ------------------------------------------------------
 
@@ -400,38 +411,26 @@ class StreamerSession(_Station):
         self.metrics = MetricsLog(metrics_path) if metrics_path else None
         self.out = SessionOutcome(role="streamer")
         self._pending: dict[int, Cluster] = {}
-        self._corrected: dict[int, tuple[np.ndarray, object]] = {}
-
-    def _records_by_epoch(self, deduped: EventStream):
-        times = deduped.times
-        dets = deduped.detectors
-        epochs = epoch_of(times)
-        records = {}
-        if times.size == 0:
-            return records
-        bounds = np.flatnonzero(np.diff(epochs)) + 1
-        starts = np.concatenate(([0], bounds))
-        stops = np.concatenate((bounds, [times.size]))
-        for s, t in zip(starts, stops):
-            records[int(epochs[s])] = (times[s:t], dets[s:t])
-        return records
+        # the detectors of each epoch sent, which the replies sift
+        self._detectors: dict[int, np.ndarray] = {}
 
     def _on_coinc_reply(self, msg: Message) -> None:
         epoch, kept = wire.decode_coinc_reply(msg.payload)
-        rec = self._records.get(epoch)
-        if rec is None:
+        dets = self._detectors.get(epoch)
+        if dets is None:
             if kept.size:
                 raise ProtocolError(f"reply for unknown epoch {epoch}")
             return
-        bits = coinc.remote_bits_from_reply(rec[1], kept)
+        bits = coinc.remote_bits_from_reply(dets, kept)
         self.out.sifted_bits += bits.size
         self.out.epochs += 1
         for cluster in self.builder.push(bits, epoch):
             self._pending[cluster.cluster_id] = cluster
 
-    def _on_ec_seed(self, msg: Message) -> None:
-        batch = []
-        for cid, seed in wire.decode_seed_msg(msg.payload):
+    def _on_batch_seeds(self, msg: Message) -> None:
+        batch, pa_seeds = [], []
+        for cid, seed, pa_seed in wire.decode_records(MsgType.BATCH_SEEDS,
+                                                      msg.payload):
             cluster = self._pending.pop(cid, None)
             if cluster is None and cid == self.builder.next_id:
                 # the matcher's end-of-session cluster: this station's own
@@ -440,30 +439,12 @@ class StreamerSession(_Station):
             if cluster is None:
                 raise ProtocolError(f"reconciliation for unknown cluster {cid}")
             batch.append((cid, cluster.bits, seed))
+            pa_seeds.append(pa_seed)
         results = reconcile_correcting(
             batch, self.eta.value, self.ep.send,
             lambda: self.ep.recv_type(MsgType.EC_PARITY))
-        for (cid, _, _), (corrected, report) in zip(batch, results):
-            self._record(report)
-            self._corrected[cid] = (corrected, report)
-
-    def _on_pa_seed(self, msg: Message) -> None:
-        cid, m, seed = wire.decode_pa_seed(msg.payload)
-        entry = self._corrected.pop(cid, None)
-        if entry is None:
-            raise ProtocolError(f"compression for unknown cluster {cid}")
-        corrected, report = entry
-        if m == 0:
-            self.out.clusters_discarded += 1
-            return
-        try:
-            allowed = final_length(report.r, report.eta, report.c)
-        except EtaDomainError:
-            allowed = None
-        if allowed is None or m > allowed:
-            raise ProtocolError(
-                f"cluster {cid}: peer claims {m} final bits, bound {allowed}")
-        self._confirm_key(cid, corrected, m, seed)
+        self._confirm_batch([(bits, pa, report) for pa, (bits, report)
+                             in zip(pa_seeds, results)])
 
     def run(self) -> SessionOutcome:
         first_epoch = epoch_of(int(self.stream.times[0])) if len(self.stream) else 0
@@ -472,8 +453,11 @@ class StreamerSession(_Station):
         _check_hello(self.ep.recv_type(MsgType.HELLO), PROTO_ROLE_MATCHER)
 
         deduped = wire.dedupe_ticks(self.stream)
-        self._records = self._records_by_epoch(deduped)
+        sent = 0
         for pkt in wire.packetize(deduped):
+            self._detectors[pkt.epoch] = deduped.detectors[
+                sent:sent + pkt.count]
+            sent += pkt.count
             self.ep.send(Message(MsgType.TIMING, wire.encode_timing(pkt)))
         self.ep.send(Message(MsgType.BYE, b""))
 
@@ -481,10 +465,8 @@ class StreamerSession(_Station):
             msg = self.ep.recv()
             if msg.type == MsgType.COINC_REPLY:
                 self._on_coinc_reply(msg)
-            elif msg.type == MsgType.EC_PERMUTE_SEED:
-                self._on_ec_seed(msg)
-            elif msg.type == MsgType.PA_SEED:
-                self._on_pa_seed(msg)
+            elif msg.type == MsgType.BATCH_SEEDS:
+                self._on_batch_seeds(msg)
             elif msg.type == MsgType.METRICS:
                 if self.metrics:
                     self.metrics.write_raw_row(msg.payload.decode())

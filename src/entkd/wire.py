@@ -8,9 +8,11 @@ Three layers live here:
   * Message framing: [u8 tag][u32 length LE][payload] over any reliable
     ordered byte stream.
   * Payload codecs for the small control messages (coincidence replies,
-    reconciliation parities and seeds, digests). One EC_PARITY frame
-    carries a section for each cluster of a reconciliation batch, and one
-    EC_PERMUTE_SEED announces the batch.
+    reconciliation parities, seeds and digests). One BATCH_SEEDS message
+    announces a reconciliation batch with each cluster's error-correction
+    and compression seeds, one EC_PARITY frame carries a section for each
+    cluster of the batch, and one KEY_HASH per station lists the digests
+    of the batch's kept keys.
 
 All multi-byte header fields are little-endian. Bit packing is MSB-first
 (numpy packbits convention) throughout.
@@ -33,7 +35,10 @@ RICE_K_MAX = 40
 # 3: timing packet body in sections (unary quotients, remainders, flags)
 # 4: batched reconciliation: an EC_PARITY frame holds one section per
 #    cluster, an EC_PERMUTE_SEED announces a whole batch
-WIRE_VERSION = 4
+# 5: BATCH_SEEDS (tag 5, was EC_PERMUTE_SEED) carries each cluster's
+#    compression seed too; final lengths no longer cross the wire (tag 6
+#    is gone), and one KEY_HASH lists every kept cluster's digest
+WIRE_VERSION = 5
 
 
 class DecodeError(ValueError):
@@ -53,8 +58,7 @@ class MsgType(IntEnum):
     TIMING = 2
     COINC_REPLY = 3
     EC_PARITY = 4
-    EC_PERMUTE_SEED = 5
-    PA_SEED = 6
+    BATCH_SEEDS = 5
     KEY_HASH = 7
     METRICS = 8
     BYE = 9
@@ -261,8 +265,10 @@ def decode_timing(b: bytes) -> TimingPacket:
 _HELLO = struct.Struct("<HBI")
 _U32 = struct.Struct("<I")
 _EC_SECTION = struct.Struct("<IHBI")
-_SEED = struct.Struct("<IQ")
-_PA = struct.Struct("<IIQ")
+# the fixed-size record of each cluster list: (u32 cluster id, u64 EC
+# seed, u64 PA seed) in BATCH_SEEDS, (u32 cluster id, u64 digest) in KEY_HASH
+_RECORD = {MsgType.BATCH_SEEDS: struct.Struct("<IQQ"),
+           MsgType.KEY_HASH: struct.Struct("<IQ")}
 
 
 def encode_hello(role: int, start_epoch: int, version: int = WIRE_VERSION) -> bytes:
@@ -357,46 +363,29 @@ def decode_ec_parity(b: bytes) -> list[ParitySection]:
     return sections
 
 
-def encode_seed_msg(seeds) -> bytes:
-    """[u32 count], then (u32 cluster, u64 seed) per cluster of a batch."""
-    if not seeds:
-        raise ContractViolation("a seed message needs at least one cluster")
-    return _U32.pack(len(seeds)) + b"".join(_SEED.pack(c, s) for c, s in seeds)
+def encode_records(mtype: MsgType, records) -> bytes:
+    """[u32 count], then one fixed-size record per cluster (see _RECORD),
+    each a tuple that starts with the cluster id."""
+    if not records:
+        raise ContractViolation(f"a {mtype.name} message needs a cluster")
+    rec = _RECORD[mtype]
+    return _U32.pack(len(records)) + b"".join(rec.pack(*r) for r in records)
 
 
-def decode_seed_msg(b: bytes) -> list[tuple[int, int]]:
+def decode_records(mtype: MsgType, b: bytes) -> list[tuple]:
+    rec = _RECORD[mtype]
     if len(b) < _U32.size:
-        raise DecodeError("truncated seed message", len(b))
+        raise DecodeError(f"truncated {mtype.name}", len(b))
     n = _U32.unpack_from(b, 0)[0]
     if n == 0:
-        raise DecodeError("seed message with no clusters", 0)
-    if len(b) != _U32.size + n * _SEED.size:
-        raise DecodeError("seed message length mismatch", _U32.size)
-    seeds = list(_SEED.iter_unpack(b[_U32.size:]))
+        raise DecodeError(f"{mtype.name} with no clusters", 0)
+    if len(b) != _U32.size + n * rec.size:
+        raise DecodeError(f"{mtype.name} length mismatch", _U32.size)
+    records = list(rec.iter_unpack(b[_U32.size:]))
     seen = set()
-    for i, (cluster, _) in enumerate(seeds):
+    for i, (cluster, *_) in enumerate(records):
         if cluster in seen:
-            raise DecodeError(f"cluster {cluster} repeated in seed message",
-                              _U32.size + i * _SEED.size)
+            raise DecodeError(f"cluster {cluster} repeated in {mtype.name}",
+                              _U32.size + i * rec.size)
         seen.add(cluster)
-    return seeds
-
-
-def encode_pa_seed(cluster: int, m: int, seed: int) -> bytes:
-    return _PA.pack(cluster, m, seed)
-
-
-def decode_pa_seed(b: bytes) -> tuple[int, int, int]:
-    if len(b) != _PA.size:
-        raise DecodeError("bad pa seed size", 0)
-    return _PA.unpack(b)
-
-
-def encode_key_hash(cluster: int, digest: int) -> bytes:
-    return _SEED.pack(cluster, digest)
-
-
-def decode_key_hash(b: bytes) -> tuple[int, int]:
-    if len(b) != _SEED.size:
-        raise DecodeError("bad key hash size", 0)
-    return _SEED.unpack(b)
+    return records

@@ -3,6 +3,7 @@ import math
 import socket
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,8 @@ from entkd.node import (PROTO_ROLE_MATCHER, PROTO_ROLE_STREAMER,
 from entkd.physim import read_stream_dump, simulate_link
 from entkd.privamp import final_length
 from entkd.wire import (WIRE_VERSION, Message, MsgType, ProtocolError,
-                        decode_hello, decode_pa_seed, decode_timing,
-                        encode_coinc_reply, encode_hello, encode_pa_seed,
-                        encode_seed_msg)
+                        decode_hello, decode_records, decode_timing,
+                        encode_coinc_reply, encode_hello, encode_records)
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -192,19 +192,24 @@ def test_loopback_determinism(tmp_path):
     assert files[0] == files[1]
 
 
+def _count_sent(monkeypatch) -> Counter:
+    """Count the messages both stations send, by type."""
+    sent = Counter()
+    orig_send = MessageIO.send
+
+    def counting_send(self, msg):
+        sent[msg.type] += 1
+        return orig_send(self, msg)
+
+    monkeypatch.setattr(MessageIO, "send", counting_send)
+    return sent
+
+
 def test_loopback_batches_deterministic_and_fewer_round_trips(
         tmp_path, monkeypatch):
     # a noisy link over three metrics intervals: the first cluster goes
     # alone, then one batch per interval, the last one with the tail
-    frames = [0]
-    orig_send = MessageIO.send
-
-    def counting_send(self, msg):
-        if msg.type == MsgType.EC_PARITY:
-            frames[0] += 1
-        return orig_send(self, msg)
-
-    monkeypatch.setattr(MessageIO, "send", counting_send)
+    sent = _count_sent(monkeypatch)
     batches = {}
 
     def recording(name):
@@ -222,7 +227,7 @@ def test_loopback_batches_deterministic_and_fewer_round_trips(
     for tag in ("one", "two"):
         d = tmp_path / tag
         d.mkdir()
-        frames[0] = 0
+        sent.clear()
         batches.update(reconcile_reference=[], reconcile_correcting=[])
         cfg = app.load_config(_write_ini(
             d / "s.ini", duration=21.0, seed=5, pair_rate=2000.0,
@@ -232,13 +237,22 @@ def test_loopback_batches_deterministic_and_fewer_round_trips(
         ids = [[c for c, _, _ in batch]
                for batch, _ in batches["reconcile_reference"]]
         runs.append(((d / "a.etky").read_bytes(), (d / "b.etky").read_bytes(),
-                     frames[0], ids))
+                     sent[MsgType.EC_PARITY], ids))
     assert runs[0] == runs[1]
     assert runs[0][0] == runs[0][1] and out_m.secret_bits > 0
     ids = runs[0][3]
     assert ids[0] == [0] and len(ids) == 4
     assert [c for batch in ids for c in batch] == list(range(len(
         out_m.reports)))
+    # one seed announcement per batch, one digest list from each station
+    # per batch that keeps a cluster, and no message with the unassigned
+    # tag 6
+    kept = [any(final_length(out_m.reports[c].r, out_m.reports[c].eta,
+                             out_m.reports[c].c) is not None for c in batch)
+            for batch in ids]
+    assert 6 not in {int(t) for t in sent}
+    assert sent[MsgType.BATCH_SEEDS] == len(ids)
+    assert sent[MsgType.KEY_HASH] == 2 * sum(kept) > 0
 
     # every cluster replayed alone, on the same bits, seed and estimate
     alone = 0
@@ -309,6 +323,63 @@ def test_loopback_noisy_secrecy_ledger(tmp_path):
             total += m
     assert total == out_m.secret_bits == out_s.secret_bits
     assert sum(b.size for _, b in read_key_file(tmp_path / "a.etky")) == total
+
+
+def test_loopback_discard_path(tmp_path, monkeypatch):
+    # each station decides on its own which clusters to discard; both must
+    # reach the same verdicts and the session must still end cleanly
+    sent = _count_sent(monkeypatch)
+    batches = []
+    orig_reference = node.reconcile_reference
+
+    def recording(batch, eta_est, send, recv):
+        batches.append([cid for cid, _, _ in batch])
+        return orig_reference(batch, eta_est, send, recv)
+
+    monkeypatch.setattr(node, "reconcile_reference", recording)
+
+    def run(tag, vis):
+        d = tmp_path / tag
+        d.mkdir()
+        sent.clear()
+        batches.clear()
+        cfg = app.load_config(_write_ini(
+            d / "s.ini", duration=12.0, seed=5, pair_rate=2000.0,
+            vis_hv=vis, vis_da=vis, cluster_bits=500,
+            keys_a=d / "a.etky", keys_b=d / "b.etky",
+            metrics_a=d / "a.csv", metrics_b=d / "b.csv"))
+        out_m, out_s = app.run_loopback(cfg)
+        assert out_m.clusters_discarded == out_s.clusters_discarded
+        assert out_m.clusters_mismatched == 0 == out_s.clusters_mismatched
+        assert out_m.clusters_ok == out_s.clusters_ok
+        assert out_m.secret_bits == out_s.secret_bits
+        assert (d / "a.csv").read_text() == (d / "b.csv").read_text()
+        keep = {rep.cluster_id for rep in out_m.reports
+                if final_length(rep.r, rep.eta, rep.c) is not None}
+        assert out_m.clusters_ok == len(keep)
+        assert out_m.clusters_discarded == len(out_m.reports) - len(keep)
+        ka, kb = _key_bits(d / "a.etky"), _key_bits(d / "b.etky")
+        assert ka == kb and set(ka) == keep
+        assert sent[MsgType.KEY_HASH] == 2 * sum(
+            any(cid in keep for cid in batch) for batch in batches)
+        return d, out_m, keep
+
+    # ~20 % errors: every cluster's budget is spent, so nothing is written
+    # and no digest is exchanged
+    d, out_m, keep = run("dark", 0.6)
+    assert not keep and out_m.clusters_discarded == len(out_m.reports) > 2
+    assert out_m.secret_bits == 0
+    for name in ("a.etky", "b.etky"):
+        assert (d / name).read_bytes() == b"ETKY\x01\x00"  # header only
+    assert sent[MsgType.KEY_HASH] == 0
+    assert all(row.endswith(",0") for row in
+               (d / "a.csv").read_text().splitlines()[1:])
+
+    # ~12 % errors: some clusters of one batch are kept, some discarded
+    _, out_m, keep = run("dim", 0.75)
+    assert 0 < len(keep) < len(out_m.reports)
+    assert any(0 < sum(cid in keep for cid in batch) < len(batch)
+               for batch in batches)
 
 
 def _free_port():
@@ -431,9 +502,11 @@ def test_mitm_key_hash_flip_counts_mismatch(tmp_path):
 
     def flip_digest(msg):
         if msg.type == MsgType.KEY_HASH:
-            payload = bytearray(msg.payload)
-            payload[-1] ^= 0x01  # digest byte, cluster id untouched
-            return Message(msg.type, bytes(payload))
+            # every digest of the batch's list, cluster ids untouched
+            flipped = [(cid, digest ^ 1) for cid, digest
+                       in decode_records(MsgType.KEY_HASH, msg.payload)]
+            return Message(msg.type,
+                           encode_records(MsgType.KEY_HASH, flipped))
         return msg
 
     out_m, err_m, box = _run_pair(
@@ -452,54 +525,70 @@ def test_mitm_key_hash_flip_counts_mismatch(tmp_path):
     assert _key_bits(tmp_path / "b.etky") == {}
 
 
-def test_streamer_rejects_inflated_final_length(tmp_path):
+def test_tampered_pa_seed_mismatches_one_cluster(tmp_path):
     sa, sb = _small_link(seed=32)
     io_m, io_s = _io_pair()
+    victim = 2   # a cluster of the last batch, which holds several
 
-    def inflate_m(msg):
-        if msg.type == MsgType.PA_SEED:
-            cid, m, seed = decode_pa_seed(msg.payload)
-            if m > 0:
-                return Message(msg.type, encode_pa_seed(cid, m + 50, seed))
+    def tamper_seed(msg):
+        if msg.type == MsgType.BATCH_SEEDS:
+            seeds = [(cid, ec, pa ^ 1 if cid == victim else pa) for cid, ec, pa
+                     in decode_records(MsgType.BATCH_SEEDS, msg.payload)]
+            return Message(msg.type,
+                           encode_records(MsgType.BATCH_SEEDS, seeds))
         return msg
 
     out_m, err_m, box = _run_pair(
-        _TamperEndpoint(io_m, inflate_m), io_s, sa, sb, tmp_path)
+        _TamperEndpoint(io_m, tamper_seed), io_s, sa, sb, tmp_path)
 
-    # the streamer recomputes the budget from its own reconciliation record
-    # and refuses to compress beyond it
-    assert isinstance(box.get("err"), ProtocolError)
-    assert "bound" in str(box["err"])
-    assert _key_bits(tmp_path / "b.etky") == {}
+    # the streamer compresses the victim with another matrix: its digest
+    # disagrees on both stations, and only that cluster is lost
+    assert err_m is None and "err" not in box
+    out_s = box["out"]
+    assert len(out_m.reports) > victim + 1
+    assert out_m.clusters_mismatched == 1 == out_s.clusters_mismatched
+    assert out_m.clusters_ok == out_s.clusters_ok == len(out_m.reports) - 1
+    ka, kb = _key_bits(tmp_path / "a.etky"), _key_bits(tmp_path / "b.etky")
+    assert ka == kb
+    assert set(ka) == set(range(len(out_m.reports))) - {victim}
+
+
+def test_key_hash_must_list_the_kept_clusters_in_order(tmp_path):
+    sa, sb = _small_link(seed=32)
+    edits = (lambda recs: recs[::-1],              # same ids, out of order
+             lambda recs: recs + [(999, 5)],       # a foreign cluster
+             lambda recs: recs[:-1])               # one cluster missing
+    for n, edit in enumerate(edits):
+        d = tmp_path / str(n)
+        d.mkdir()
+
+        def tamper(msg, edit=edit):
+            if msg.type == MsgType.KEY_HASH:
+                recs = decode_records(MsgType.KEY_HASH, msg.payload)
+                if len(recs) > 1:
+                    return Message(msg.type, encode_records(
+                        MsgType.KEY_HASH, edit(recs)))
+            return msg
+
+        io_m, io_s = _io_pair()
+        _, _, box = _run_pair(_TamperEndpoint(io_m, tamper), io_s, sa, sb, d)
+        assert isinstance(box.get("err"), ProtocolError), n
+        assert "key digests for clusters" in str(box["err"])
 
 
 def test_streamer_bound_applies_to_tail_cluster(tmp_path):
     sa, sb = _small_link(seed=32)
-    clean = tmp_path / "clean"
-    clean.mkdir()
-    out_m, err_m, box = _run_pair(*_io_pair(), sa, sb, clean)
+    out_m, err_m, box = _run_pair(*_io_pair(), sa, sb, tmp_path)
     assert err_m is None and "err" not in box
     tail = out_m.reports[-1]
     assert tail.r < 400  # the end-of-session remainder, below the threshold
-    assert final_length(tail.r, tail.eta, tail.c) is not None
-    assert tail.cluster_id in _key_bits(clean / "b.etky")
-
-    def inflate_tail(msg):
-        if msg.type == MsgType.PA_SEED:
-            cid, m, seed = decode_pa_seed(msg.payload)
-            if cid == tail.cluster_id:
-                return Message(msg.type, encode_pa_seed(cid, m + 1, seed))
-        return msg
-
-    io_m, io_s = _io_pair()
-    out_m, err_m, box = _run_pair(
-        _TamperEndpoint(io_m, inflate_tail), io_s, sa, sb, tmp_path)
-    assert isinstance(box.get("err"), ProtocolError)
-    assert f"cluster {tail.cluster_id}" in str(box["err"])
-    assert "bound" in str(box["err"])
-    written = _key_bits(tmp_path / "b.etky")
-    assert tail.cluster_id not in written
-    assert len(written) == tail.cluster_id  # every full cluster got through
+    # each station sizes the tail's key from its own report
+    for out, name in ((out_m, "a.etky"), (box["out"], "b.etky")):
+        own = out.reports[-1]
+        assert own.cluster_id == tail.cluster_id
+        m = final_length(own.r, own.eta, own.c)
+        cid, bits = read_key_file(tmp_path / name)[-1]
+        assert cid == tail.cluster_id and m is not None and bits.size == m
 
 
 def _start_streamer(io_s, stream, **kwargs):
@@ -537,8 +626,8 @@ def test_streamer_rejects_ec_seed_for_unknown_cluster():
             kept = np.arange(min(40, first.count), dtype=np.int64)
             peer.send(Message(MsgType.COINC_REPLY,
                               encode_coinc_reply(first.epoch, kept)))
-        peer.send(Message(MsgType.EC_PERMUTE_SEED,
-                          encode_seed_msg([(bad_cid, 12345)])))
+        peer.send(Message(MsgType.BATCH_SEEDS, encode_records(
+            MsgType.BATCH_SEEDS, [(bad_cid, 12345, 678)])))
         worker.join(timeout=30)
         peer.close()
         io_s.close()

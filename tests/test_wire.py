@@ -8,11 +8,10 @@ from entkd.wire import (RICE_K_MAX, WIRE_VERSION, DecodeError, Message,
                         MsgType, ParitySection, ProtocolError, TimingPacket,
                         choose_rice_k,
                         decode_coinc_reply, decode_ec_parity, decode_hello,
-                        decode_key_hash, decode_pa_seed, decode_seed_msg,
-                        decode_timing, dedupe_ticks, encode_coinc_reply,
-                        encode_ec_parity, encode_hello, encode_key_hash,
-                        encode_pa_seed, encode_seed_msg, encode_timing, frame,
-                        packetize, unframe)
+                        decode_records, decode_timing, dedupe_ticks,
+                        encode_coinc_reply, encode_ec_parity, encode_hello,
+                        encode_records, encode_timing, frame, packetize,
+                        unframe)
 
 
 def mk_packet(epoch, first, deltas, flags):
@@ -186,6 +185,8 @@ def test_framing_errors():
         unframe(frame(Message(MsgType.HELLO, b"x"))[:-1])
     with pytest.raises(ProtocolError):
         unframe(b"\x63\x00\x00\x00\x00")  # unknown tag
+    with pytest.raises(ProtocolError, match="0x06"):
+        unframe(b"\x06\x00\x00\x00\x00")  # tag 6 is unassigned
 
 
 def test_dedupe_keeps_first():
@@ -271,12 +272,23 @@ def test_golden_ec_parity_bytes():
 
 
 def test_golden_seed_bytes():
-    seeds = [(3, 0x0102030405060708), (4, 9)]
+    # BATCH_SEEDS: u32 count, then (u32 cluster, u64 EC seed, u64 PA seed)
+    seeds = [(3, 0x0102030405060708, 0x1112131415161718), (4, 9, 10)]
     blob = bytes.fromhex("02000000"
-                         "03000000" "0807060504030201"
-                         "04000000" "0900000000000000")
-    assert encode_seed_msg(seeds) == blob
-    assert decode_seed_msg(blob) == seeds
+                         "03000000" "0807060504030201" "1817161514131211"
+                         "04000000" "0900000000000000" "0a00000000000000")
+    assert encode_records(MsgType.BATCH_SEEDS, seeds) == blob
+    assert decode_records(MsgType.BATCH_SEEDS, blob) == seeds
+
+
+def test_golden_key_hash_bytes():
+    # KEY_HASH: u32 count, then (u32 cluster, u64 digest)
+    digests = [(5, 2**64 - 1), (7, 0x0102030405060708)]
+    blob = bytes.fromhex("02000000"
+                         "05000000" "ffffffffffffffff"
+                         "07000000" "0807060504030201")
+    assert encode_records(MsgType.KEY_HASH, digests) == blob
+    assert decode_records(MsgType.KEY_HASH, blob) == digests
 
 
 def test_ec_parity_decoder_rejections():
@@ -307,27 +319,39 @@ def test_ec_parity_decoder_rejections():
 
 
 def test_seed_decoder_rejections():
-    blob = encode_seed_msg([(3, 7), (4, 9)])
-    with pytest.raises(DecodeError, match="no clusters"):
-        decode_seed_msg(bytes(4))
-    with pytest.raises(ContractViolation):
-        encode_seed_msg([])
-    with pytest.raises(DecodeError, match="truncated"):
-        decode_seed_msg(blob[:2])
+    # one codec for both cluster lists, with the same checks on each
+    for mtype, records, size in ((MsgType.BATCH_SEEDS, [(3, 7, 8), (4, 9, 1)],
+                                  20),
+                                 (MsgType.KEY_HASH, [(3, 7), (4, 9)], 12)):
+        blob = encode_records(mtype, records)
+        assert len(blob) == 4 + 2 * size
+        with pytest.raises(DecodeError, match="no clusters"):
+            decode_records(mtype, bytes(4))
+        with pytest.raises(ContractViolation):
+            encode_records(mtype, [])
+        with pytest.raises(DecodeError, match="truncated"):
+            decode_records(mtype, blob[:2])
+        with pytest.raises(DecodeError, match="length mismatch"):
+            decode_records(mtype, blob[:-1])
+        with pytest.raises(DecodeError, match="length mismatch"):
+            decode_records(mtype, blob + bytes(size))
+        repeated = encode_records(mtype, [records[0], records[0]])
+        with pytest.raises(DecodeError, match="repeated") as err:
+            decode_records(mtype, repeated)
+        assert err.value.offset == 4 + size
+    # a KEY_HASH payload is no BATCH_SEEDS payload
     with pytest.raises(DecodeError, match="length mismatch"):
-        decode_seed_msg(blob[:-1])
-    with pytest.raises(DecodeError, match="length mismatch"):
-        decode_seed_msg(blob + bytes(12))
-    with pytest.raises(DecodeError, match="repeated"):
-        decode_seed_msg(encode_seed_msg([(3, 7), (3, 9)]))
+        decode_records(MsgType.BATCH_SEEDS,
+                       encode_records(MsgType.KEY_HASH, [(3, 7)]))
 
 
 def test_control_codecs():
     assert decode_hello(encode_hello(1, 42)) == (WIRE_VERSION, 1, 42)
-    assert decode_seed_msg(encode_seed_msg([(7, 2**63 + 5)])) == [(7, 2**63 + 5)]
-    assert decode_pa_seed(encode_pa_seed(3, 1000, 99)) == (3, 1000, 99)
-    assert decode_key_hash(encode_key_hash(8, 2**64 - 1)) == (8, 2**64 - 1)
+    seeds = [(7, 2**63 + 5, 2**62 - 1)]
+    assert decode_records(MsgType.BATCH_SEEDS,
+                          encode_records(MsgType.BATCH_SEEDS, seeds)) == seeds
+    digests = [(8, 2**64 - 1), (2**32 - 1, 0)]
+    assert decode_records(MsgType.KEY_HASH,
+                          encode_records(MsgType.KEY_HASH, digests)) == digests
     with pytest.raises(DecodeError):
         decode_hello(b"\x00")
-    with pytest.raises(DecodeError):
-        decode_pa_seed(b"\x00" * 3)
