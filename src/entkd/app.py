@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import configparser
 import socket
+import threading
 from dataclasses import dataclass
 
-from .channel import MessageIO
+from .channel import ChannelClosed, MessageIO
 from .coinc import WindowConfig
 from .core import ContractViolation, EventStream
 from .ecorr import CLUSTER_THRESHOLD
-from .node import MatcherSession, StreamerSession, run_sessions_over_sockets
+from .node import (PROTO_ROLE_MATCHER, PROTO_ROLE_STREAMER, MatcherSession,
+                   StreamerSession)
 from .physim import (SideConfig, SourceConfig, read_stream_dump,
                      simulate_link, write_stream_dump)
 
@@ -148,33 +150,64 @@ def build_streams(cfg: SessionConfig) -> tuple[EventStream, EventStream]:
     return simulate_link(cfg.source, cfg.alice, cfg.bob)
 
 
-def build_side_stream(cfg: SessionConfig, side: int) -> EventStream:
-    """One station's view; both stations call this with the same config."""
-    stream_a, stream_b = build_streams(cfg)
-    return stream_a if side == 0 else stream_b
+def _station(cfg: SessionConfig, role: int, sock: socket.socket,
+             stream: EventStream):
+    """Run one station of the session over a connected socket.
 
-
-def _matcher_kwargs(cfg: SessionConfig) -> dict:
-    return dict(windows=cfg.windows,
+    The socket is closed however the session ends, so a station that
+    fails makes its peer fail at once instead of waiting out a timeout.
+    """
+    io = MessageIO(sock)
+    try:
+        if role == PROTO_ROLE_MATCHER:
+            session = MatcherSession(
+                io, stream, windows=cfg.windows,
                 cluster_threshold=cfg.cluster_threshold,
-                session_seed=cfg.seed,
-                key_path=cfg.keys_alice,
+                session_seed=cfg.seed, key_path=cfg.keys_alice,
                 metrics_path=cfg.metrics_alice)
-
-
-def _streamer_kwargs(cfg: SessionConfig) -> dict:
-    return dict(cluster_threshold=cfg.cluster_threshold,
-                key_path=cfg.keys_bob,
-                metrics_path=cfg.metrics_bob)
+        else:
+            session = StreamerSession(
+                io, stream, cluster_threshold=cfg.cluster_threshold,
+                key_path=cfg.keys_bob, metrics_path=cfg.metrics_bob)
+        return session.run()
+    finally:
+        io.close()
 
 
 def run_loopback(cfg: SessionConfig):
-    """Both stations in one process over a socket pair."""
+    """Both stations in one process over a socket pair, the streamer on a
+    worker thread.
+
+    When the matcher fails only because the channel closed under it, the
+    streamer failed first and its error is raised; otherwise the
+    matcher's is.
+    """
     stream_a, stream_b = build_streams(cfg)
     sock_m, sock_s = socket.socketpair()
-    return run_sessions_over_sockets(sock_m, sock_s, stream_a, stream_b,
-                                     _matcher_kwargs(cfg),
-                                     _streamer_kwargs(cfg))
+    box: dict = {}
+
+    def streamer():
+        try:
+            box["outcome"] = _station(cfg, PROTO_ROLE_STREAMER, sock_s,
+                                      stream_b)
+        except BaseException as exc:   # raised again on the calling thread
+            box["error"] = exc
+
+    worker = threading.Thread(target=streamer)
+    worker.start()
+    try:
+        out_m = _station(cfg, PROTO_ROLE_MATCHER, sock_m, stream_a)
+    except ChannelClosed:
+        worker.join()
+        if "error" in box:
+            raise box["error"] from None
+        raise
+    finally:
+        # the matcher's end is closed by now, so the streamer ends too
+        worker.join()
+    if "error" in box:
+        raise box["error"]
+    return out_m, box["outcome"]
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -190,31 +223,20 @@ def parse_endpoint(text: str) -> tuple[str, int]:
 def run_matcher_tcp(cfg: SessionConfig, listen: str, timeout: float = 120.0):
     """Run the matcher station as a TCP server for one session."""
     host, port = parse_endpoint(listen)
-    stream = build_side_stream(cfg, 0)
+    stream, _ = build_streams(cfg)
     with socket.create_server((host, port)) as srv:
         srv.settimeout(timeout)
         conn, _addr = srv.accept()
     conn.settimeout(timeout)
-    io = MessageIO(conn)
-    try:
-        session = MatcherSession(io, stream, **_matcher_kwargs(cfg))
-        return session.run()
-    finally:
-        io.close()
+    return _station(cfg, PROTO_ROLE_MATCHER, conn, stream)
 
 
 def run_streamer_tcp(cfg: SessionConfig, peer: str, timeout: float = 120.0):
     """Run the streamer station as a TCP client for one session."""
     host, port = parse_endpoint(peer)
-    stream = build_side_stream(cfg, 1)
+    _, stream = build_streams(cfg)
     conn = socket.create_connection((host, port), timeout=timeout)
-    conn.settimeout(timeout)
-    io = MessageIO(conn)
-    try:
-        session = StreamerSession(io, stream, **_streamer_kwargs(cfg))
-        return session.run()
-    finally:
-        io.close()
+    return _station(cfg, PROTO_ROLE_STREAMER, conn, stream)
 
 
 def dump_streams(cfg: SessionConfig, out_alice: str, out_bob: str) -> tuple[int, int]:

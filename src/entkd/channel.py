@@ -131,6 +131,3 @@ class PeerEndpoint:
             self._held.setdefault(msg.type, deque()).append(
                 (self._arrivals, msg))
             self._arrivals += 1
-
-    def close(self) -> None:
-        self._ep.close()

@@ -51,10 +51,6 @@ class MatchResult:
     unmatched_local: int = 0
     unmatched_remote: int = 0
 
-    @property
-    def accepted(self) -> int:
-        return int(self.accept_mask.sum())
-
 
 def match(local_times: np.ndarray, remote_times: np.ndarray,
           w: WindowConfig = WindowConfig()) -> MatchResult:
@@ -125,7 +121,6 @@ class SiftResult:
     """Same-basis accepted matches in canonical (ascending remote) order."""
 
     bits: np.ndarray           # local outcome bits
-    local_index: np.ndarray
     remote_index: np.ndarray
     accepted_raw: int = 0      # accepted matches before basis comparison
 
@@ -146,11 +141,10 @@ def sift(result: MatchResult, local_detectors: np.ndarray,
     det = np.asarray(local_detectors, dtype=np.uint8)[li]
     same = detector_basis(det) == np.asarray(remote_basis_flags,
                                              dtype=np.uint8)[ri]
-    li, ri, det = li[same], ri[same], det[same]
+    ri, det = ri[same], det[same]
     order = np.argsort(ri, kind="stable")
     return SiftResult(
         bits=detector_bit(det).astype(np.uint8)[order],
-        local_index=li[order],
         remote_index=ri[order],
         accepted_raw=int(result.accept_mask.sum()),
     )

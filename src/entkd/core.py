@@ -55,10 +55,8 @@ def detector_bit(detectors: np.ndarray) -> np.ndarray:
     return np.asarray(detectors) & 1
 
 
-def epoch_of(ticks):
-    """Epoch index of a timestamp (scalar or array): ticks >> 32."""
-    if isinstance(ticks, np.ndarray):
-        return ticks >> 32
+def epoch_of(ticks: int) -> int:
+    """Epoch index of a timestamp: ticks >> 32."""
     return int(ticks) >> 32
 
 

@@ -115,12 +115,7 @@ class Cluster:
 
     cluster_id: int
     bits: np.ndarray
-    first_epoch: int
     last_epoch: int
-
-    @property
-    def r(self) -> int:
-        return len(self.bits)
 
 
 class ClusterBuilder:
@@ -139,18 +134,11 @@ class ClusterBuilder:
         self._next_id = 0
         self._chunks: list[np.ndarray] = []
         self._count = 0
-        self._first_epoch = -1
         self._last_epoch = -1
-
-    @property
-    def pending(self) -> int:
-        return self._count
 
     def push(self, bits: np.ndarray, epoch: int = 0) -> list[Cluster]:
         bits = np.ascontiguousarray(bits, dtype=np.uint8)
         if bits.size:
-            if self._count == 0:
-                self._first_epoch = epoch
             self._last_epoch = epoch
             self._chunks.append(bits)
             self._count += bits.size
@@ -169,7 +157,7 @@ class ClusterBuilder:
 
     def _emit(self) -> Cluster:
         cluster = Cluster(self._next_id, np.concatenate(self._chunks),
-                          self._first_epoch, self._last_epoch)
+                          self._last_epoch)
         self._next_id += 1
         self._chunks = []
         self._count = 0

@@ -23,13 +23,12 @@ digest list, and keeps the keys whose digests match the peer's.
 from __future__ import annotations
 
 import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import coinc, tsync, wire
-from .channel import MessageIO, PeerEndpoint
+from .channel import PeerEndpoint
 from .coinc import WindowConfig
 from .core import EPOCH_SECONDS, EPOCH_TICKS, EventStream, epoch_of
 from .ecorr import (CLUSTER_THRESHOLD, Cluster, ClusterBuilder, EtaEstimator,
@@ -64,14 +63,12 @@ class KeyFileWriter:
         self._fh = open(path, "wb")
         self._fh.write(_KEY_HDR.pack(KEY_MAGIC, KEY_VERSION))
         self._fh.flush()
-        self.total_bits = 0
 
     def append(self, cluster_id: int, bits: np.ndarray) -> None:
         bits = np.asarray(bits, dtype=np.uint8)
         self._fh.write(_KEY_REC.pack(cluster_id, bits.size))
         self._fh.write(np.packbits(bits).tobytes())
         self._fh.flush()
-        self.total_bits += bits.size
 
     def close(self) -> None:
         self._fh.close()
@@ -194,20 +191,52 @@ class SessionOutcome:
     reports: list = field(default_factory=list)
 
 
-def _check_hello(msg: Message, want_role: int) -> int:
-    version, role, start_epoch = wire.decode_hello(msg.payload)
-    if version != wire.WIRE_VERSION:
-        raise ProtocolError(f"peer speaks version {version}")
-    if role != want_role:
-        raise ProtocolError(f"peer role {role}, expected {want_role}")
-    return start_epoch
-
-
 class _Station:
-    """What both stations do with each batch they reconcile.
+    """What both stations share: the peer, the cluster builder, the
+    error-rate estimate, the key file and the outcome; the session's
+    lifecycle; and what each station does with a batch it reconciles.
 
-    Subclasses set ep, eta, keys and out.
+    Subclasses set ROLE, PEER_ROLE and NAME, and metrics (None when the
+    station keeps none), and implement _session.
     """
+
+    ROLE: int
+    PEER_ROLE: int
+    NAME: str
+
+    def __init__(self, endpoint, stream: EventStream, cluster_threshold: int,
+                 key_path):
+        stream.assert_sorted()
+        self.ep = PeerEndpoint(endpoint)
+        self.stream = stream
+        self.builder = ClusterBuilder(cluster_threshold)
+        self.eta = EtaEstimator()
+        self.keys = KeyFileWriter(key_path) if key_path else None
+        self.metrics: MetricsLog | None = None
+        self.out = SessionOutcome(role=self.NAME)
+
+    def run(self) -> SessionOutcome:
+        """Exchange HELLO with the peer, then run this station's session.
+
+        The key and metrics files are closed however the session ends.
+        """
+        try:
+            start = epoch_of(int(self.stream.times[0])) if len(self.stream) else 0
+            self.ep.send(Message(MsgType.HELLO,
+                                 wire.encode_hello(self.ROLE, start)))
+            version, role, _ = wire.decode_hello(
+                self.ep.recv_type(MsgType.HELLO).payload)
+            if version != wire.WIRE_VERSION:
+                raise ProtocolError(f"peer speaks version {version}")
+            if role != self.PEER_ROLE:
+                raise ProtocolError(f"peer role {role}, expected {self.PEER_ROLE}")
+            self._session()
+        finally:
+            if self.keys:
+                self.keys.close()
+            if self.metrics:
+                self.metrics.close()
+        return self.out
 
     def _confirm_batch(self, batch) -> list[tuple[int, bool]]:
         """Compress, confirm and store a reconciled batch.
@@ -260,30 +289,43 @@ class _Station:
 class MatcherSession(_Station):
     """The station that receives timing packets and drives the pipeline."""
 
+    ROLE, PEER_ROLE, NAME = PROTO_ROLE_MATCHER, PROTO_ROLE_STREAMER, "matcher"
+
     def __init__(self, endpoint, stream: EventStream, *,
                  windows: WindowConfig = WindowConfig(),
                  cluster_threshold: int = CLUSTER_THRESHOLD,
                  session_seed: int = 1,
                  key_path=None, metrics_path=None):
-        stream.assert_sorted()
-        self.ep = PeerEndpoint(endpoint)
-        self.local = stream
+        super().__init__(endpoint, stream, cluster_threshold, key_path)
         self.windows = windows
-        self.builder = ClusterBuilder(cluster_threshold)
-        self.eta = EtaEstimator()
         self.rng = np.random.default_rng(
             np.random.SeedSequence((session_seed, 0xA17CE)))
-        self.keys = KeyFileWriter(key_path) if key_path else None
         self.metrics = MetricsLog(
             metrics_path, mirror=self._mirror_metrics)
         self.model: tsync.ClockModel | None = None
-        self.out = SessionOutcome(role="matcher")
         self._ready: list[Cluster] = []   # closed, awaiting their batch
 
     def _mirror_metrics(self, row: str) -> None:
         self.ep.send(Message(MsgType.METRICS, row.encode()))
 
     # -- per-epoch pipeline ------------------------------------------
+
+    def _lock(self, held) -> None:
+        if not held:
+            raise ProtocolError("peer sent no timing data")
+        sample = np.concatenate([rtimes for _, rtimes, _ in held])
+        # The coarse search resolves offsets within half an epoch, so only
+        # local events within one epoch of the sample span can be partners.
+        # Trimming keeps the correlation background independent of session
+        # length instead of drowning the peak on long runs.
+        times = self.stream.times
+        lock_lo = np.searchsorted(times, max(0, int(sample[0]) - EPOCH_TICKS))
+        lock_hi = np.searchsorted(times, int(sample[-1]) + EPOCH_TICKS)
+        try:
+            self.model = tsync.initial_lock(times[lock_lo:lock_hi], sample,
+                                            max_epochs=LOCK_EPOCHS)
+        except NoPeakError as exc:
+            raise ProtocolError(f"clock lock failed: {exc}") from exc
 
     def _process_epoch(self, epoch: int, rtimes: np.ndarray,
                        rflags: np.ndarray) -> None:
@@ -293,7 +335,7 @@ class MatcherSession(_Station):
         corrected = tsync.apply_model(self.model, rtimes)
         lo = int(corrected[0]) - self.windows.servo_half_width
         hi = int(corrected[-1]) + self.windows.servo_half_width + 1
-        sl = self.local.slice_ticks(lo, hi)
+        sl = self.stream.slice_ticks(lo, hi)
         res = coinc.match(sl.times, corrected, self.windows)
         accidentals = coinc.count_accidentals(sl.times, corrected,
                                               self.windows)
@@ -331,54 +373,27 @@ class MatcherSession(_Station):
 
     # -- session ------------------------------------------------------
 
-    def run(self) -> SessionOutcome:
-        first_epoch = epoch_of(int(self.local.times[0])) if len(self.local) else 0
-        self.ep.send(Message(MsgType.HELLO,
-                             wire.encode_hello(PROTO_ROLE_MATCHER, first_epoch)))
-        _check_hello(self.ep.recv_type(MsgType.HELLO), PROTO_ROLE_STREAMER)
-
-        pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        stream_done = False
-        while len(pending) < LOCK_EPOCHS and not stream_done:
-            msg = self.ep.recv_type(MsgType.TIMING, MsgType.BYE)
-            if msg.type == MsgType.BYE:
-                stream_done = True
-                break
-            pkt = wire.decode_timing(msg.payload)
-            pending[pkt.epoch] = (pkt.times(), pkt.basis_flags)
-        if not pending:
-            raise ProtocolError("peer sent no timing data")
-        sample = np.concatenate(
-            [pending[e][0] for e in sorted(pending)])
-        # The coarse search resolves offsets within half an epoch, so only
-        # local events within one epoch of the sample span can be partners.
-        # Trimming keeps the correlation background independent of session
-        # length instead of drowning the peak on long runs.
-        lock_lo = np.searchsorted(self.local.times,
-                                  max(0, int(sample[0]) - EPOCH_TICKS))
-        lock_hi = np.searchsorted(self.local.times,
-                                  int(sample[-1]) + EPOCH_TICKS)
-        try:
-            self.model = tsync.initial_lock(self.local.times[lock_lo:lock_hi],
-                                            sample,
-                                            max_epochs=LOCK_EPOCHS)
-        except NoPeakError as exc:
-            raise ProtocolError(f"clock lock failed: {exc}") from exc
-        self.out.model = self.model
-
+    def _session(self) -> None:
+        # The first LOCK_EPOCHS packets (fewer if BYE comes first) are held
+        # until they have locked the clocks; every packet is then processed
+        # in arrival order.
+        held = []   # (epoch, times, basis flags) per packet
         last_epoch = 0
-        for e in sorted(pending):
-            rt, rf = pending[e]
-            self._process_epoch(e, rt, rf)
-            last_epoch = e
-        pending.clear()
-        while not stream_done:
+        while True:
             msg = self.ep.recv_type(MsgType.TIMING, MsgType.BYE)
+            if msg.type == MsgType.TIMING:
+                pkt = wire.decode_timing(msg.payload)
+                held.append((pkt.epoch, pkt.times(), pkt.basis_flags))
+                if self.model is None and len(held) < LOCK_EPOCHS:
+                    continue
+            if self.model is None:
+                self._lock(held)
+            for epoch, rtimes, rflags in held:
+                self._process_epoch(epoch, rtimes, rflags)
+                last_epoch = epoch
+            held.clear()
             if msg.type == MsgType.BYE:
                 break
-            pkt = wire.decode_timing(msg.payload)
-            self._process_epoch(pkt.epoch, pkt.times(), pkt.basis_flags)
-            last_epoch = pkt.epoch
 
         # the sub-threshold remainder is reconciled as a last, shorter
         # cluster, in one batch with whatever else is still waiting
@@ -391,25 +406,18 @@ class MatcherSession(_Station):
         self.metrics.close((last_epoch + 1) * EPOCH_SECONDS)
         self.ep.send(Message(MsgType.BYE, b""))
         self.ep.recv_type(MsgType.BYE)
-        if self.keys:
-            self.keys.close()
-        return self.out
 
 
 class StreamerSession(_Station):
     """The station that sends timing packets and answers the pipeline."""
 
+    ROLE, PEER_ROLE, NAME = PROTO_ROLE_STREAMER, PROTO_ROLE_MATCHER, "streamer"
+
     def __init__(self, endpoint, stream: EventStream, *,
                  cluster_threshold: int = CLUSTER_THRESHOLD,
                  key_path=None, metrics_path=None):
-        stream.assert_sorted()
-        self.ep = PeerEndpoint(endpoint)
-        self.stream = stream
-        self.builder = ClusterBuilder(cluster_threshold)
-        self.eta = EtaEstimator()
-        self.keys = KeyFileWriter(key_path) if key_path else None
+        super().__init__(endpoint, stream, cluster_threshold, key_path)
         self.metrics = MetricsLog(metrics_path) if metrics_path else None
-        self.out = SessionOutcome(role="streamer")
         self._pending: dict[int, Cluster] = {}
         # the detectors of each epoch sent, which the replies sift
         self._detectors: dict[int, np.ndarray] = {}
@@ -446,12 +454,7 @@ class StreamerSession(_Station):
         self._confirm_batch([(bits, pa, report) for pa, (bits, report)
                              in zip(pa_seeds, results)])
 
-    def run(self) -> SessionOutcome:
-        first_epoch = epoch_of(int(self.stream.times[0])) if len(self.stream) else 0
-        self.ep.send(Message(MsgType.HELLO,
-                             wire.encode_hello(PROTO_ROLE_STREAMER, first_epoch)))
-        _check_hello(self.ep.recv_type(MsgType.HELLO), PROTO_ROLE_MATCHER)
-
+    def _session(self) -> None:
         deduped = wire.dedupe_ticks(self.stream)
         sent = 0
         for pkt in wire.packetize(deduped):
@@ -476,44 +479,3 @@ class StreamerSession(_Station):
                 raise ProtocolError(f"unexpected message {msg.type!r}")
 
         self.ep.send(Message(MsgType.BYE, b""))
-        if self.keys:
-            self.keys.close()
-        if self.metrics:
-            self.metrics.close()
-        return self.out
-
-
-def run_sessions_over_sockets(sock_matcher, sock_streamer, stream_a,
-                              stream_b, matcher_kwargs, streamer_kwargs):
-    """Drive both stations over a connected socket pair in one process.
-
-    The streamer runs on a worker thread; exceptions from either side
-    propagate to the caller.
-    """
-    io_m = MessageIO(sock_matcher)
-    io_s = MessageIO(sock_streamer)
-    matcher = MatcherSession(io_m, stream_a, **matcher_kwargs)
-    streamer = StreamerSession(io_s, stream_b, **streamer_kwargs)
-    box: dict = {}
-
-    def _run_streamer():
-        try:
-            box["outcome"] = streamer.run()
-        except BaseException as exc:
-            box["error"] = exc
-
-    worker = threading.Thread(target=_run_streamer, daemon=True)
-    worker.start()
-    try:
-        outcome_m = matcher.run()
-    finally:
-        # a matcher that returns has the streamer's last message; one that
-        # raised may leave the streamer waiting, so close before joining
-        io_m.close()
-        io_s.close()
-        worker.join(timeout=300.0)
-    if "error" in box:
-        raise box["error"]
-    if "outcome" not in box:
-        raise ProtocolError("streamer session did not finish")
-    return outcome_m, box["outcome"]

@@ -74,10 +74,8 @@ class ClockModel:
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    peak_bin: int
-    bin_width: int
     significance: float
-    offset_ticks: float = 0.0
+    offset_ticks: float
 
 
 def apply_model(model: ClockModel, times):
@@ -87,10 +85,7 @@ def apply_model(model: ClockModel, times):
     """
     t = np.asarray(times, dtype=np.float64)
     out = np.rint(t - model.offset - model.drift * (t - model.reference_ticks))
-    out = np.maximum(out, 0.0).astype(np.int64)
-    if np.isscalar(times) or getattr(times, "ndim", 1) == 0:
-        return int(out)
-    return out
+    return np.maximum(out, 0.0).astype(np.int64)
 
 
 def _dedrift(times: np.ndarray, drift: float, reference: float) -> np.ndarray:
@@ -108,7 +103,7 @@ def _fold_histogram(times: np.ndarray) -> np.ndarray:
 def coarse_correlate(local_times: np.ndarray, remote_times: np.ndarray) -> CorrelationResult:
     """Circular FFT cross-correlation of epoch-folded streams at 2.048 us bins.
 
-    Positive peak_bin means the remote clock is ahead. Raises NoPeakError
+    A positive offset means the remote clock is ahead. Raises NoPeakError
     when the best bin does not stand out of the correlation noise.
     """
     local_times = np.asarray(local_times, dtype=np.int64)
@@ -125,8 +120,7 @@ def coarse_correlate(local_times: np.ndarray, remote_times: np.ndarray) -> Corre
     if significance < SIGNIFICANCE_THRESHOLD:
         raise NoPeakError(f"no coarse peak (significance {significance:.2f})")
     signed = peak - COARSE_BINS_PER_EPOCH if peak >= COARSE_BINS_PER_EPOCH // 2 else peak
-    return CorrelationResult(signed, COARSE_BIN_TICKS, significance,
-                             float(signed * COARSE_BIN_TICKS))
+    return CorrelationResult(significance, float(signed * COARSE_BIN_TICKS))
 
 
 def _pair_deltas(local_times, shifted, half_window: int):
@@ -150,9 +144,9 @@ def _delta_histogram(local_times, remote_times, center: float, half_window: int,
     shifted = np.asarray(remote_times, dtype=np.int64) - int(round(center))
     _, deltas = _pair_deltas(local_times, shifted, half_window)
     deltas = deltas[(deltas >= -half_window) & (deltas < half_window)]
-    n_bins = (2 * half_window) // bin_ticks
-    hist = np.bincount((deltas + half_window) // bin_ticks, minlength=n_bins)
-    return hist, deltas, n_bins
+    hist = np.bincount((deltas + half_window) // bin_ticks,
+                       minlength=(2 * half_window) // bin_ticks)
+    return hist, deltas
 
 
 def _peak_significance(hist: np.ndarray, exclude: int = 2) -> tuple[int, float]:
@@ -181,8 +175,8 @@ def fine_correlate(local_times: np.ndarray, remote_times: np.ndarray,
     and its neighbors, so the combined estimate is good to about a bin.
     """
     local_times = np.asarray(local_times, dtype=np.int64)
-    hist, deltas, n_bins = _delta_histogram(local_times, remote_times,
-                                            coarse_offset, half_window, bin_ticks)
+    hist, deltas = _delta_histogram(local_times, remote_times,
+                                    coarse_offset, half_window, bin_ticks)
     if not hist.any():
         raise NoPeakError("no pairs inside fine correlation window")
     peak, sig = _peak_significance(hist)
@@ -192,8 +186,7 @@ def fine_correlate(local_times: np.ndarray, remote_times: np.ndarray,
     hi_edge = (peak + 2) * bin_ticks - half_window
     near = deltas[(deltas >= lo_edge) & (deltas < hi_edge)]
     centroid = float(near.mean()) if near.size else float(peak * bin_ticks - half_window)
-    signed = peak - n_bins // 2
-    return CorrelationResult(signed, bin_ticks, sig, float(coarse_offset) + centroid)
+    return CorrelationResult(sig, float(coarse_offset) + centroid)
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

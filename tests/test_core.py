@@ -23,8 +23,7 @@ def test_epoch_of():
     assert epoch_of(0) == 0
     assert epoch_of(EPOCH_TICKS - 1) == 0
     assert epoch_of(EPOCH_TICKS) == 1
-    arr = np.array([0, EPOCH_TICKS, 5 * EPOCH_TICKS + 17], dtype=np.int64)
-    assert list(epoch_of(arr)) == [0, 1, 5]
+    assert epoch_of(np.int64(5 * EPOCH_TICKS + 17)) == 5
 
 
 def test_ticks_from_seconds():

@@ -45,18 +45,17 @@ def test_eta_estimator():
 def test_cluster_builder_basic():
     b = ClusterBuilder(threshold=100)
     assert b.push(np.ones(60, dtype=np.uint8), epoch=3) == []
-    assert b.pending == 60
     out = b.push(np.zeros(70, dtype=np.uint8), epoch=5)
     assert len(out) == 1
     c = out[0]
     assert isinstance(c, Cluster)
     # the whole buffer is emitted: the chunk that crossed stays intact
-    assert c.r == 130 and c.cluster_id == 0
-    assert c.first_epoch == 3 and c.last_epoch == 5
+    assert c.cluster_id == 0 and c.last_epoch == 5
     assert list(c.bits) == [1] * 60 + [0] * 70
-    assert b.pending == 0
+    # nothing is left buffered: the next cluster holds only newer bits
     out = b.push(np.ones(250, dtype=np.uint8), epoch=9)
-    assert len(out) == 1 and out[0].cluster_id == 1 and out[0].r == 250
+    assert len(out) == 1 and out[0].cluster_id == 1
+    assert out[0].bits.size == 250 and out[0].last_epoch == 9
 
 
 def test_cluster_builder_conservation_and_tail():
@@ -74,14 +73,13 @@ def test_cluster_builder_conservation_and_tail():
     # clusters are exactly a prefix of the input; the flushed tail is
     # the rest, so together they are the whole input, bit for bit
     assert np.array_equal(got, all_fed[: got.size])
-    assert b.pending == all_fed.size - got.size > 0
     next_id = b.next_id
     tail = b.flush()
     assert tail.cluster_id == next_id == len(clusters)
-    assert 0 < tail.r < 97
+    assert 0 < tail.bits.size < 97
     assert tail.last_epoch == max(e for e, c in enumerate(fed) if c.size)
     assert np.array_equal(np.concatenate([got, tail.bits]), all_fed)
-    assert b.pending == 0 and b.next_id == next_id + 1
+    assert b.next_id == next_id + 1
     assert b.flush() is None  # nothing left: no empty cluster
     with pytest.raises(ValueError):
         ClusterBuilder(threshold=0)

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import math
 import socket
 import threading
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -15,9 +17,8 @@ from entkd.channel import MessageIO
 from entkd.core import EPOCH_TICKS, EventStream
 from entkd.node import (PROTO_ROLE_MATCHER, PROTO_ROLE_STREAMER,
                         KeyFileWriter, MatcherSession, MetricsLog,
-                        StreamerSession, read_key_file,
-                        run_sessions_over_sockets)
-from entkd.physim import read_stream_dump, simulate_link
+                        StreamerSession, read_key_file)
+from entkd.physim import read_stream_dump, simulate_link, write_stream_dump
 from entkd.privamp import final_length
 from entkd.wire import (WIRE_VERSION, Message, MsgType, ProtocolError,
                         decode_hello, decode_records, decode_timing,
@@ -75,7 +76,6 @@ def test_key_file_roundtrip(tmp_path):
     for cid, bits in recs:
         w.append(cid, bits)
     w.close()
-    assert w.total_bits == 423 + 1 + 64
     back = read_key_file(p)
     assert [(cid, bits.tolist()) for cid, bits in back] == \
         [(cid, bits.tolist()) for cid, bits in recs]
@@ -691,20 +691,68 @@ def test_no_timing_data_is_protocol_error():
     assert not worker.is_alive()
 
 
-def test_matcher_failure_over_sockets_returns_promptly():
+def test_matcher_failure_over_sockets_returns_promptly(tmp_path):
     # unrelated streams: the matcher's clock lock finds no peak and raises,
     # while the streamer waits for replies that will never come
     rng = np.random.default_rng(5)
-
-    def noise():
+    dumps = []
+    for side in (0, 1):
         t = np.sort(rng.integers(0, 4 * EPOCH_TICKS, 40000)).astype(np.int64)
-        return EventStream(t, rng.integers(0, 4, t.size, dtype=np.uint8))
-
-    sock_m, sock_s = socket.socketpair()
+        dumps.append(tmp_path / f"{side}.etkd")
+        write_stream_dump(dumps[-1], side, EventStream(
+            t, rng.integers(0, 4, t.size, dtype=np.uint8)))
+    cfg = app.load_config(_write_ini(tmp_path / "s.ini", stream_a=dumps[0],
+                                     stream_b=dumps[1]))
     t0 = time.monotonic()
     with pytest.raises(ProtocolError, match="clock lock failed"):
-        run_sessions_over_sockets(sock_m, sock_s, noise(), noise(), {}, {})
+        app.run_loopback(cfg)
     assert time.monotonic() - t0 < 10.0
+
+
+def _fail_streamer_on_third_reply(monkeypatch) -> ProtocolError:
+    """Make the streamer raise the returned error on its third reply."""
+    fault = ProtocolError("injected streamer fault")
+    orig = StreamerSession._on_coinc_reply
+    calls = []
+
+    def failing(self, msg):
+        calls.append(msg)
+        if len(calls) == 3:
+            raise fault
+        return orig(self, msg)
+
+    monkeypatch.setattr(StreamerSession, "_on_coinc_reply", failing)
+    return fault
+
+
+def test_streamer_failure_in_loopback_is_raised_promptly(tmp_path,
+                                                         monkeypatch):
+    # the streamer's own error must reach the caller, at once, and not the
+    # matcher's closed channel or its wait for a peer that is gone
+    fault = _fail_streamer_on_third_reply(monkeypatch)
+    cfg = app.load_config(_write_ini(tmp_path / "s.ini"))
+    t0 = time.monotonic()
+    with pytest.raises(ProtocolError) as excinfo:
+        app.run_loopback(cfg)
+    assert excinfo.value is fault
+    assert time.monotonic() - t0 < 10.0
+
+
+def test_failed_session_closes_its_files(tmp_path, monkeypatch):
+    # the streamer fails and the matcher then fails on the closed channel:
+    # neither may leave its key or metrics file for the garbage collector
+    _fail_streamer_on_third_reply(monkeypatch)
+    cfg = app.load_config(_write_ini(
+        tmp_path / "s.ini",
+        keys_a=tmp_path / "a.etky", keys_b=tmp_path / "b.etky",
+        metrics_a=tmp_path / "a.csv", metrics_b=tmp_path / "b.csv"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(ProtocolError):
+            app.run_loopback(cfg)
+        gc.collect()
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
 
 
 # ---------------------------------------------------------------------------

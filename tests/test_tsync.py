@@ -36,7 +36,6 @@ def test_apply_model_identity_and_offset():
     assert np.array_equal(apply_model(ClockModel(), t), t)
     out = apply_model(ClockModel(offset=40.0), t)
     assert np.array_equal(out, np.array([0, 60, 10**12 - 40]))
-    assert apply_model(ClockModel(offset=40.0), 100) == 60
     out = apply_model(ClockModel(offset=50.0), np.array([10, 200]))
     assert list(out) == [0, 150]
 
