@@ -77,19 +77,26 @@ def match(local_times: np.ndarray, remote_times: np.ndarray,
     r_idx = np.repeat(np.arange(remote_times.size), counts)
     l_idx = np.repeat(lo, counts) + (np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts))
     delta = remote_times[r_idx] - local_times[l_idx]
-    order = np.lexsort((r_idx, l_idx, np.abs(delta)))
 
-    used_l = np.zeros(local_times.size, dtype=bool)
-    used_r = np.zeros(remote_times.size, dtype=bool)
+    # A candidate that shares neither of its events with another candidate
+    # is committed whatever the order, so all of those go in at once; only
+    # the contested rest, which shares no event with them, runs greedily.
+    alone = ((np.bincount(l_idx, minlength=local_times.size)[l_idx] == 1)
+             & (counts[r_idx] == 1))
+    contested = np.flatnonzero(~alone)
+    order = contested[np.lexsort((r_idx[contested], l_idx[contested],
+                                  np.abs(delta[contested])))]
+    used_l, used_r = set(), set()
     picked = []
-    for c in order:
-        li, ri = l_idx[c], r_idx[c]
-        if used_l[li] or used_r[ri]:
+    for c, li, ri in zip(order.tolist(), l_idx[order].tolist(),
+                         r_idx[order].tolist()):
+        if li in used_l or ri in used_r:
             continue
-        used_l[li] = True
-        used_r[ri] = True
+        used_l.add(li)
+        used_r.add(ri)
         picked.append(c)
-    picked = np.array(picked, dtype=np.int64)
+    picked = np.concatenate([np.flatnonzero(alone),
+                             np.array(picked, dtype=np.int64)])
     li, ri, dl = l_idx[picked], r_idx[picked], delta[picked]
     by_local = np.argsort(li, kind="stable")
     li, ri, dl = li[by_local], ri[by_local], dl[by_local]

@@ -204,7 +204,9 @@ class _Engine:
         self.inv: list[np.ndarray] = []
         self.pbits: list[np.ndarray] = []
         self.block_state: list[np.ndarray] = []
-        # reference parities disclosed so far, per pass, keyed as in _bisect
+        # reference parities per pass: of every block, and of the left
+        # halves disclosed so far, keyed as in _bisect
+        self.block_parity: list[list[int]] = []
         self.known: list[dict[int, int]] = []
 
         self.c = 0
@@ -215,43 +217,44 @@ class _Engine:
 
     # -- message plumbing ---------------------------------------------
 
-    def _offer(self, sender: str, round_id: int, bits):
-        """What this side yields for one round: its section when it is
-        the round's sender, else None to take the peer's."""
-        if self.role != sender:
-            return None
-        arr = np.asarray(bits, dtype=np.uint8)
-        counted = sender == ROLE_REFERENCE
-        if counted:
-            self.c += arr.size
-        return ParitySection(self.cluster_id, round_id, counted, arr)
+    def _round(self, sender: str, round_id: int, bits: list):
+        """One round of the dialogue; returns the round's bits.
 
-    def _take(self, sec, sender: str, round_id: int, bits) -> np.ndarray:
-        """The round's bits on this side: its own when it sent them,
-        else the peer's from sec, checked against what this side expects."""
-        if sec is None:
-            return np.asarray(bits, dtype=np.uint8)
-        if sec.cluster_id != self.cluster_id:
-            raise ProtocolError(
-                f"cluster id {sec.cluster_id} != {self.cluster_id}")
-        if sec.round_id != round_id:
-            raise ProtocolError(f"round {sec.round_id}, expected {round_id}")
-        if sec.bits.size != len(bits):
-            raise ProtocolError(
-                f"{sec.bits.size} parity bits, expected {len(bits)}")
-        if sec.counted != (sender == ROLE_REFERENCE):
-            raise ProtocolError(f"round {round_id} with counted flag "
-                                f"{int(sec.counted)}")
-        if sec.counted:
-            self.c += sec.bits.size
-        return sec.bits
+        The round's sender yields its own bits as a section and returns
+        them. The other side yields None, takes the peer's section, checks
+        its cluster, round, length and counted flag against what this side
+        expects, and returns the peer's bits. Both count the bits of a
+        reference round in c.
+        """
+        counted = sender == ROLE_REFERENCE
+        if self.role == sender:
+            yield ParitySection(self.cluster_id, round_id, counted, bits)
+        else:
+            sec = yield None
+            if sec.cluster_id != self.cluster_id:
+                raise ProtocolError(
+                    f"cluster id {sec.cluster_id} != {self.cluster_id}")
+            if sec.round_id != round_id:
+                raise ProtocolError(
+                    f"round {sec.round_id}, expected {round_id}")
+            if len(sec.bits) != len(bits):
+                raise ProtocolError(
+                    f"{len(sec.bits)} parity bits, expected {len(bits)}")
+            if sec.counted != counted:
+                raise ProtocolError(f"round {round_id} with counted flag "
+                                    f"{int(sec.counted)}")
+            bits = sec.bits
+        if counted:
+            self.c += len(bits)
+        return bits
 
     # -- parity bookkeeping -------------------------------------------
 
     def _subset_positions(self, rnd: int) -> np.ndarray:
         gen = Generator(PCG64(SeedSequence((self.shared_seed, _BICONF_SALT + rnd))))
         mask = gen.integers(0, 2, size=self.r, dtype=np.uint8)
-        return np.flatnonzero(mask)
+        # the 0/1 bytes read as bools take numpy's fast nonzero path
+        return mask.view(np.bool_).nonzero()[0]
 
     def _apply_flips(self, positions: np.ndarray) -> None:
         """Record located error positions; the correcting side also flips.
@@ -277,48 +280,48 @@ class _Engine:
     def _bisect(self, own: np.ndarray, known: dict, spans):
         """Locate one differing position inside each span.
 
-        own is this side's bits in the spans' coordinates, known the
-        reference parities already disclosed there (updated in place, and
-        keyed by lo * (own.size + 1) + hi: one int per span keeps the many
-        tables a batch holds at once small), and spans the disjoint
-        ascending (lo, hi) pairs with odd difference parity and known
-        reference parity. Runs
-        level-synchronously: one message pair covers every still-active
-        span, and a left-half parity already disclosed is not disclosed
-        again. Returns the located coordinates.
+        own is this side's bits in the spans' coordinates, and spans the
+        disjoint ascending (lo, hi, parity) triples with odd difference
+        parity, parity being the reference parity of own[lo:hi]. Each span
+        splits at mid = (lo + hi) // 2. The blocks of a pass are disjoint,
+        and within one every split point belongs to exactly one span of its
+        bisection tree, so known holds the left-half reference parities
+        disclosed so far keyed by split point alone (updated in place).
+        Runs level-synchronously: one message pair covers every
+        still-active span, and a left-half parity already disclosed is not
+        disclosed again. Returns the located coordinates.
         """
-        acc = np.zeros(own.size + 1, dtype=np.uint8)
-        np.bitwise_xor.accumulate(own, out=acc[1:])
-        prefix = acc.tolist()
-        w = own.size + 1
+        # prefix[x] is the parity of own[start:x] for every x the spans
+        # reach, start being where the first span begins
+        start = spans[0][0]
+        prefix = [0] * (start + 1)
+        prefix += np.bitwise_xor.accumulate(own[start:spans[-1][1]]).tolist()
         found = []
         for _ in range(self.r.bit_length() + 1):
-            active = []
-            for lo, hi in spans:
+            # every span still wider than one bit, and the left-half
+            # parities the reference side discloses for them
+            active, mids, vals = [], [], []
+            for lo, hi, par in spans:
                 if hi - lo == 1:
                     found.append(lo)
-                else:
-                    active.append((lo, hi, lo + (hi - lo) // 2))
+                    continue
+                mid = (lo + hi) >> 1
+                active.append((lo, mid, hi, par))
+                if mid not in known:
+                    mids.append(mid)
+                    vals.append(prefix[mid] ^ prefix[lo])
             if not active:
-                return np.array(found, dtype=np.int64)
-            missing = [(lo, mid) for lo, _, mid in active
-                       if lo * w + mid not in known]
-            vals = np.array([prefix[mid] ^ prefix[lo] for lo, mid in missing],
-                            dtype=np.uint8)
-            sec = yield self._offer(ROLE_REFERENCE, R_BISECT_PARITY, vals)
-            vals = self._take(sec, ROLE_REFERENCE, R_BISECT_PARITY, vals)
-            known.update(zip([lo * w + mid for lo, mid in missing],
-                             vals.tolist()))
-            diff = []
-            for lo, hi, mid in active:
-                left = known[lo * w + mid]
-                known[mid * w + hi] = known[lo * w + hi] ^ left
-                diff.append(left ^ prefix[mid] ^ prefix[lo])
-            sec = yield self._offer(ROLE_CORRECTING, R_BISECT_BRANCH, diff)
-            go_left = self._take(sec, ROLE_CORRECTING, R_BISECT_BRANCH,
-                                 diff).tolist()
-            spans = [(lo, mid) if g else (mid, hi)
-                     for (lo, hi, mid), g in zip(active, go_left)]
+                return found
+            vals = yield from self._round(ROLE_REFERENCE, R_BISECT_PARITY,
+                                          vals)
+            known.update(zip(mids, vals))
+            diff = [known[mid] ^ prefix[mid] ^ prefix[lo]
+                    for lo, mid, _, _ in active]
+            go_left = yield from self._round(ROLE_CORRECTING, R_BISECT_BRANCH,
+                                             diff)
+            spans = [(lo, mid, known[mid]) if g
+                     else (mid, hi, par ^ known[mid])
+                     for (lo, mid, hi, par), g in zip(active, go_left)]
         raise ProtocolError("bisection did not converge")
 
     def _wave(self):
@@ -334,7 +337,8 @@ class _Engine:
             else:
                 return
             k = self.block_size[p]
-            spans = [(b * k, min(b * k + k, self.r))
+            parity = self.block_parity[p]
+            spans = [(b * k, min(b * k + k, self.r), parity[b])
                      for b in np.flatnonzero(state).tolist()]
             found = yield from self._bisect(self.pbits[p], self.known[p],
                                             spans)
@@ -354,25 +358,22 @@ class _Engine:
         inv[perm] = np.arange(self.r, dtype=np.int32)
         pbits = self.bits[perm]
         k = self.block_size[p]
-        lo = np.arange(0, self.r, k, dtype=np.int64)
-        hi = np.minimum(lo + k, self.r)
-        mine = np.bitwise_xor.reduceat(pbits, lo)
-        sec = yield self._offer(ROLE_REFERENCE, R_PASS_BASE + p, mine)
-        ref = self._take(sec, ROLE_REFERENCE, R_PASS_BASE + p, mine)
-        sec = yield self._offer(ROLE_CORRECTING, R_BITMAP_BASE + p, ref ^ mine)
-        bitmap = self._take(sec, ROLE_CORRECTING, R_BITMAP_BASE + p,
-                            ref ^ mine)
+        mine = np.bitwise_xor.reduceat(pbits, np.arange(0, self.r, k)).tolist()
+        ref = yield from self._round(ROLE_REFERENCE, R_PASS_BASE + p, mine)
+        bitmap = yield from self._round(
+            ROLE_CORRECTING, R_BITMAP_BASE + p,
+            [a ^ b for a, b in zip(ref, mine)])
         self.perm.append(perm)
         self.inv.append(inv)
         self.pbits.append(pbits)
-        self.block_state.append(bitmap.copy())
-        self.known.append(dict(zip((lo * (self.r + 1) + hi).tolist(),
-                                   ref.tolist())))
+        self.block_state.append(np.array(bitmap, dtype=np.uint8))
+        self.block_parity.append(ref)
+        self.known.append({})
         self.pass_summaries.append({
             "pass": p,
             "block_size": k,
-            "blocks": lo.size,
-            "mismatched": int(bitmap.sum()),
+            "blocks": len(mine),
+            "mismatched": sum(bitmap),
         })
         yield from self._wave()
 
@@ -382,19 +383,16 @@ class _Engine:
         while clean < BICONF_TARGET:
             positions = self._subset_positions(rnd)
             own = self.bits[positions]
-            mine = np.bitwise_xor.reduce(own, keepdims=True)
-            sec = yield self._offer(ROLE_REFERENCE, R_BICONF_PARITY, mine)
-            ref = self._take(sec, ROLE_REFERENCE, R_BICONF_PARITY, mine)
-            sec = yield self._offer(ROLE_CORRECTING, R_BICONF_RESULT,
-                                    ref ^ mine)
-            hit = self._take(sec, ROLE_CORRECTING, R_BICONF_RESULT,
-                             ref ^ mine)[0]
+            mine = int(np.bitwise_xor.reduce(own))
+            ref, = yield from self._round(ROLE_REFERENCE, R_BICONF_PARITY,
+                                          [mine])
+            hit, = yield from self._round(ROLE_CORRECTING, R_BICONF_RESULT,
+                                          [ref ^ mine])
             self.biconf_rounds += 1
             if hit:
                 self.biconf_hits += 1
                 n = positions.size
-                found = yield from self._bisect(own, {n: int(ref[0])},
-                                                [(0, n)])
+                found = yield from self._bisect(own, {}, [(0, n, ref)])
                 self._apply_flips(positions[found])
                 yield from self._wave()
                 clean = 0
@@ -405,11 +403,12 @@ class _Engine:
                 raise ProtocolError("confirmation phase did not terminate")
 
     def _finish(self):
-        word = np.array([self.errors_found], dtype=">u4")
-        tally = np.unpackbits(word.view(np.uint8))
-        sec = yield self._offer(ROLE_CORRECTING, R_DONE, tally)
-        bits = self._take(sec, ROLE_CORRECTING, R_DONE, tally)
-        claimed = int.from_bytes(np.packbits(bits).tobytes(), "big")
+        # the correcting side's flip count as 32 bits, most significant first
+        tally = [(self.errors_found >> i) & 1 for i in range(31, -1, -1)]
+        bits = yield from self._round(ROLE_CORRECTING, R_DONE, tally)
+        claimed = 0
+        for bit in bits:
+            claimed = claimed << 1 | bit
         if claimed != self.errors_found:
             raise ProtocolError(
                 f"peer corrected {claimed} errors, local tally "
@@ -422,8 +421,8 @@ class _Engine:
         yield from self._finish()
         # free the pass state: the batch's other engines may still be in
         # dialogue, and a batch should hold state only for those
-        self.perm, self.inv, self.pbits, self.block_state, self.known = (
-            [], [], [], [], [])
+        self.perm, self.inv, self.pbits, self.block_state = [], [], [], []
+        self.block_parity, self.known = [], []
         summaries = tuple(self.pass_summaries + [{
             "pass": "biconf",
             "rounds": self.biconf_rounds,

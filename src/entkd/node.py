@@ -196,8 +196,8 @@ class _Station:
     error-rate estimate, the key file and the outcome; the session's
     lifecycle; and what each station does with a batch it reconciles.
 
-    Subclasses set ROLE, PEER_ROLE and NAME, and metrics (None when the
-    station keeps none), and implement _session.
+    Subclasses set ROLE, PEER_ROLE and NAME, and implement _open_metrics
+    (which returns None when the station keeps no metrics) and _session.
     """
 
     ROLE: int
@@ -205,22 +205,28 @@ class _Station:
     NAME: str
 
     def __init__(self, endpoint, stream: EventStream, cluster_threshold: int,
-                 key_path):
+                 key_path, metrics_path):
         stream.assert_sorted()
         self.ep = PeerEndpoint(endpoint)
         self.stream = stream
         self.builder = ClusterBuilder(cluster_threshold)
         self.eta = EtaEstimator()
-        self.keys = KeyFileWriter(key_path) if key_path else None
+        self._key_path = key_path
+        self._metrics_path = metrics_path
+        self.keys: KeyFileWriter | None = None
         self.metrics: MetricsLog | None = None
         self.out = SessionOutcome(role=self.NAME)
 
     def run(self) -> SessionOutcome:
-        """Exchange HELLO with the peer, then run this station's session.
+        """Open the key and metrics files, exchange HELLO with the peer,
+        then run this station's session.
 
-        The key and metrics files are closed however the session ends.
+        Whatever was opened is closed however the session ends.
         """
         try:
+            if self._key_path:
+                self.keys = KeyFileWriter(self._key_path)
+            self.metrics = self._open_metrics(self._metrics_path)
             start = epoch_of(int(self.stream.times[0])) if len(self.stream) else 0
             self.ep.send(Message(MsgType.HELLO,
                                  wire.encode_hello(self.ROLE, start)))
@@ -296,14 +302,17 @@ class MatcherSession(_Station):
                  cluster_threshold: int = CLUSTER_THRESHOLD,
                  session_seed: int = 1,
                  key_path=None, metrics_path=None):
-        super().__init__(endpoint, stream, cluster_threshold, key_path)
+        super().__init__(endpoint, stream, cluster_threshold, key_path,
+                         metrics_path)
         self.windows = windows
         self.rng = np.random.default_rng(
             np.random.SeedSequence((session_seed, 0xA17CE)))
-        self.metrics = MetricsLog(
-            metrics_path, mirror=self._mirror_metrics)
         self.model: tsync.ClockModel | None = None
         self._ready: list[Cluster] = []   # closed, awaiting their batch
+
+    def _open_metrics(self, path) -> MetricsLog:
+        # kept without a file too: every row is mirrored to the peer
+        return MetricsLog(path, mirror=self._mirror_metrics)
 
     def _mirror_metrics(self, row: str) -> None:
         self.ep.send(Message(MsgType.METRICS, row.encode()))
@@ -416,11 +425,14 @@ class StreamerSession(_Station):
     def __init__(self, endpoint, stream: EventStream, *,
                  cluster_threshold: int = CLUSTER_THRESHOLD,
                  key_path=None, metrics_path=None):
-        super().__init__(endpoint, stream, cluster_threshold, key_path)
-        self.metrics = MetricsLog(metrics_path) if metrics_path else None
+        super().__init__(endpoint, stream, cluster_threshold, key_path,
+                         metrics_path)
         self._pending: dict[int, Cluster] = {}
         # the detectors of each epoch sent, which the replies sift
         self._detectors: dict[int, np.ndarray] = {}
+
+    def _open_metrics(self, path) -> MetricsLog | None:
+        return MetricsLog(path) if path else None
 
     def _on_coinc_reply(self, msg: Message) -> None:
         epoch, kept = wire.decode_coinc_reply(msg.payload)

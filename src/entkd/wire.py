@@ -309,12 +309,13 @@ def decode_coinc_reply(b: bytes) -> tuple[int, np.ndarray]:
 
 
 class ParitySection(NamedTuple):
-    """One cluster's share of an EC_PARITY frame."""
+    """One cluster's share of an EC_PARITY frame; bits is a list of 0/1
+    ints."""
 
     cluster_id: int
     round_id: int
     counted: bool
-    bits: np.ndarray
+    bits: list
 
 
 def encode_ec_parity(sections) -> bytes:
@@ -324,10 +325,10 @@ def encode_ec_parity(sections) -> bytes:
     if not sections:
         raise ContractViolation("a parity frame needs at least one section")
     table = b"".join([_EC_SECTION.pack(s.cluster_id, s.round_id, s.counted,
-                                       s.bits.size) for s in sections])
-    bits = (sections[0].bits if len(sections) == 1
-            else np.concatenate([s.bits for s in sections]))
-    return _U32.pack(len(sections)) + table + np.packbits(bits).tobytes()
+                                       len(s.bits)) for s in sections])
+    bits = b"".join([bytes(s.bits) for s in sections])   # a byte per bit
+    return (_U32.pack(len(sections)) + table
+            + np.packbits(np.frombuffer(bits, dtype=np.uint8)).tobytes())
 
 
 def decode_ec_parity(b: bytes) -> list[ParitySection]:
@@ -339,7 +340,8 @@ def decode_ec_parity(b: bytes) -> list[ParitySection]:
     body = _U32.size + n * _EC_SECTION.size
     if len(b) < body:
         raise DecodeError("truncated section table", len(b))
-    bits = np.unpackbits(np.frombuffer(b, dtype=np.uint8, offset=body))
+    bits = np.unpackbits(np.frombuffer(b, dtype=np.uint8,
+                                       offset=body)).tolist()
     sections = []
     seen = set()
     pos = 0
@@ -349,13 +351,13 @@ def decode_ec_parity(b: bytes) -> list[ParitySection]:
             raise DecodeError(f"cluster {cluster} repeated in parity frame", off)
         if counted > 1:
             raise DecodeError(f"counted flag {counted} is not 0/1", off + 6)
-        if pos + nbits > bits.size:
+        if pos + nbits > len(bits):
             raise DecodeError("section bits overrun the frame body", off + 7)
         seen.add(cluster)
         sections.append(ParitySection(cluster, round_id, counted == 1,
                                       bits[pos:pos + nbits]))
         pos += nbits
-    pad = bits.size - pos
+    pad = len(bits) - pos
     if pad >= 8:
         raise DecodeError("parity frame longer than its sections", body)
     if b[-1] & ((1 << pad) - 1):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,69 @@ def test_match_oracle_random():
         acc = brute_force_accidentals(local, remote, w.accidental_center,
                                       w.accidental_half_width)
         assert count_accidentals(local, remote, w) == acc
+
+
+def _contested(local, remote, half):
+    """How many servo-window candidates share an event with another."""
+    cands = [(li, ri) for li, lt in enumerate(local)
+             for ri, rt in enumerate(remote) if abs(int(rt) - int(lt)) <= half]
+    per_l = Counter(li for li, _ in cands)
+    per_r = Counter(ri for _, ri in cands)
+    return sum(per_l[li] > 1 or per_r[ri] > 1 for li, ri in cands)
+
+
+def _isolated_pairs(rng, n):
+    """Pairs and lone events, each at least 100 ticks from any other."""
+    base = np.cumsum(rng.integers(100, 400, n))
+    local, remote = [], []
+    for t in base.tolist():
+        kind = int(rng.integers(0, 4))
+        if kind < 2:
+            local.append(t)
+            remote.append(t + int(rng.integers(-30, 31)))
+        elif kind == 2:
+            local.append(t)
+        else:
+            remote.append(t)
+    return local, remote
+
+
+def test_match_oracle_on_uncontested_and_contested_streams():
+    # isolated pairs commit in bulk; dense clumps (several locals inside
+    # one remote's window, and the reverse) need the greedy order
+    rng = np.random.default_rng(91)
+    w = WindowConfig()
+    half = w.servo_half_width
+    for trial in range(40):
+        local, remote = _isolated_pairs(rng, int(rng.integers(20, 120)))
+        assert _contested(local, remote, half) == 0
+        streams = [(local, remote)]
+        local, remote = list(local), list(remote)
+        end = max(local + remote + [0])
+        for j in range(int(rng.integers(1, 6))):
+            # one event at t, and two to five on the other side within
+            # its window, so each of those is a candidate for it
+            t = end + 200 * (j + 1)
+            few = [t]
+            many = (t + rng.integers(-half, half + 1,
+                                     int(rng.integers(2, 6)))).tolist()
+            if j % 2:
+                local += many
+                remote += few
+            else:
+                local += few
+                remote += many
+        streams.append((local, remote))
+        assert _contested(local, remote, half) > 0
+        for lo, re in streams:
+            lo = np.sort(np.array(lo, dtype=np.int64))
+            re = np.sort(np.array(re, dtype=np.int64))
+            res = match(lo, re, w)
+            got = list(zip(res.local_index.tolist(),
+                           res.remote_index.tolist(), res.delta.tolist()))
+            assert got == brute_force_match(lo, re, half), f"trial {trial}"
+            assert np.array_equal(res.accept_mask,
+                                  np.abs(res.delta) <= w.accept_half_width)
 
 
 def test_match_restriction_property():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from entkd.ecorr import (BICONF_TARGET, MIN_BLOCK, N_PASSES, Cluster,
                          ClusterBuilder, EtaEstimator, block_schedule,
                          reconcile_correcting)
 from entkd.wire import (Message, MsgType, ProtocolError, decode_ec_parity,
-                        encode_ec_parity)
+                        encode_ec_parity, frame)
 
 
 def test_initial_block_size():
@@ -148,9 +149,43 @@ def test_random_instances_and_audit():
             for _, msg in transcript:
                 assert msg.type == MsgType.EC_PARITY
                 for sec in decode_ec_parity(msg.payload):
+                    assert type(sec.bits) is list
                     if sec.counted:
-                        counted += sec.bits.size
+                        counted += len(sec.bits)
             assert counted == rep_ref.c
+
+
+# SHA-256 of each side's frame sequence for the batch below. Any change to
+# the dialogue, its order or its bytes changes them; a change that means to
+# alter the dialogue updates them and says why in CHANGES.md.
+GOLDEN_BATCH_SHA256 = {
+    "a": "3bd7851185010b4fc2082c2a50f88e59b3d683b676cec984981ba527d0582be3",
+    "b": "2077a4dc5b84d82cce212cbf2e144215f35618dddaa355cc72788da03e7c9f3c",
+}
+
+
+def test_golden_batch_transcript():
+    # four clusters of mixed length and error rate, reconciled in one batch
+    # from an estimate of 3 % that fits none of them
+    rng = np.random.default_rng(2015)
+    batch_ref, batch_cor = [], []
+    for cid, (r, eta) in enumerate(((1, 0.07), (37, 0.20), (2000, 0.01),
+                                    (5000, 0.07))):
+        ref = rng.integers(0, 2, r, dtype=np.uint8)
+        cor = ref ^ (rng.random(r) < eta).astype(np.uint8)
+        batch_ref.append((cid, ref, 1000 + cid))
+        batch_cor.append((cid, cor, 1000 + cid))
+    transcript = []
+    outs, reps_ref, _ = reconcile_batch_pair(batch_ref, batch_cor, 0.03,
+                                             transcript)
+    assert all(np.array_equal(out, ref) for out, (_, ref, _)
+               in zip(outs, batch_ref))
+    assert [rep.c for rep in reps_ref] == [18, 45, 135, 2057]
+    assert len(transcript) == 1727
+    for label, want in GOLDEN_BATCH_SHA256.items():
+        frames = b"".join(frame(msg) for who, msg in transcript
+                          if who == label)
+        assert hashlib.sha256(frames).hexdigest() == want, label
 
 
 def test_determinism():
@@ -214,7 +249,7 @@ def _sections_by_cluster(transcript):
     for label, msg in transcript:
         for sec in decode_ec_parity(msg.payload):
             out.setdefault(sec.cluster_id, []).append(
-                (label, sec.round_id, sec.counted, sec.bits.tobytes()))
+                (label, sec.round_id, sec.counted, bytes(sec.bits)))
     return out
 
 

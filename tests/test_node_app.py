@@ -21,8 +21,9 @@ from entkd.node import (PROTO_ROLE_MATCHER, PROTO_ROLE_STREAMER,
 from entkd.physim import read_stream_dump, simulate_link, write_stream_dump
 from entkd.privamp import final_length
 from entkd.wire import (WIRE_VERSION, Message, MsgType, ProtocolError,
-                        decode_hello, decode_records, decode_timing,
-                        encode_coinc_reply, encode_hello, encode_records)
+                        decode_ec_parity, decode_hello, decode_records,
+                        decode_timing, encode_coinc_reply, encode_hello,
+                        encode_records)
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -323,6 +324,40 @@ def test_loopback_noisy_secrecy_ledger(tmp_path):
             total += m
     assert total == out_m.secret_bits == out_s.secret_bits
     assert sum(b.size for _, b in read_key_file(tmp_path / "a.etky")) == total
+
+
+def test_disclosed_bits_audited_from_the_wire(tmp_path, monkeypatch):
+    # every station's c for every cluster equals the counted parity bits
+    # its EC_PARITY frames carried, summed from the raw frames alone
+    sent = {}   # MessageIO -> every message it sent, HELLO first
+
+    def send(self, msg, orig=MessageIO.send):
+        sent.setdefault(self, []).append(msg)
+        return orig(self, msg)
+
+    monkeypatch.setattr(MessageIO, "send", send)
+    cfg = app.load_config(_write_ini(
+        tmp_path / "s.ini", duration=6.0, seed=23, pair_rate=8000.0,
+        vis_hv=0.9, vis_da=0.9, eff_a=0.35, eff_b=0.35, jitter=3.36,
+        darks=300.0, cluster_bits=1000))
+    out_m, out_s = app.run_loopback(cfg)
+
+    counted = {}   # sender role -> cluster id -> counted bits
+    for msgs in sent.values():
+        _, role, _ = decode_hello(msgs[0].payload)
+        tally = counted.setdefault(role, Counter())
+        for msg in msgs:
+            if msg.type == MsgType.EC_PARITY:
+                for sec in decode_ec_parity(msg.payload):
+                    if sec.counted:
+                        tally[sec.cluster_id] += len(sec.bits)
+    assert sorted(counted) == [PROTO_ROLE_MATCHER, PROTO_ROLE_STREAMER]
+    # only the reference side, the matcher, discloses counted parities
+    assert not counted[PROTO_ROLE_STREAMER]
+    audit = dict(counted[PROTO_ROLE_MATCHER])
+    assert len(audit) >= 3 and sum(r.errors_found for r in out_m.reports) > 0
+    for out in (out_m, out_s):
+        assert {rep.cluster_id: rep.c for rep in out.reports} == audit
 
 
 def test_loopback_discard_path(tmp_path, monkeypatch):
@@ -753,6 +788,27 @@ def test_failed_session_closes_its_files(tmp_path, monkeypatch):
         gc.collect()
     assert [str(w.message) for w in caught
             if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_unopenable_metrics_file_leaves_no_key_file_open(tmp_path):
+    # the key file opens first; when the metrics file then cannot be
+    # opened, the station must close the key file before the error leaves
+    missing = tmp_path / "no such dir" / "m.csv"
+    empty = EventStream(np.empty(0, np.int64), np.empty(0, np.uint8))
+    for i, station in enumerate((MatcherSession, StreamerSession)):
+        ep, peer = _io_pair()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(FileNotFoundError):
+                    station(ep, empty, key_path=tmp_path / f"{i}.etky",
+                            metrics_path=missing).run()
+                gc.collect()
+        finally:
+            ep.close()
+            peer.close()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == [], station
 
 
 # ---------------------------------------------------------------------------

@@ -231,14 +231,17 @@ def test_coinc_reply_validation():
 
 
 def _sections(*specs):
-    return [ParitySection(cid, rid, counted, np.array(bits, dtype=np.uint8))
+    return [ParitySection(cid, rid, counted, list(bits))
             for cid, rid, counted, bits in specs]
 
 
 def _assert_sections_equal(got, want):
     assert [s[:3] for s in got] == [s[:3] for s in want]
     for g, w in zip(got, want):
-        assert g.bits.dtype == np.uint8 and np.array_equal(g.bits, w.bits)
+        # a list of plain 0/1 ints, equal to what was sent
+        assert type(g.bits) is list
+        assert all(type(b) is int for b in g.bits)
+        assert g.bits == w.bits
 
 
 def test_ec_parity_roundtrip():
