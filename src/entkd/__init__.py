@@ -10,7 +10,6 @@ from .core import (
     Basis,
     EventStream,
     ContractViolation,
-    epoch_of,
 )
 
 __version__ = "0.1.0"

@@ -50,7 +50,18 @@ class SessionConfig:
         return self.source.rng_seed
 
 
-def _get(cp, section, key, cast, default):
+class _SessionFile(configparser.ConfigParser):
+    """A session INI file that records each (section, key) the loader asks
+    for. No section lends its keys to the others, so a [DEFAULT] section
+    is as unknown as any other."""
+
+    def __init__(self):
+        super().__init__(default_section="")
+        self.asked: set[tuple[str, str]] = set()
+
+
+def _get(cp: _SessionFile, section, key, cast, default):
+    cp.asked.add((section, key))
     if not cp.has_option(section, key):
         return default
     raw = cp.get(section, key)
@@ -80,8 +91,12 @@ def _side(cp, section) -> SideConfig:
 
 
 def load_config(path, *, seed=None, duration=None) -> SessionConfig:
-    """Parse a session INI file, applying optional CLI overrides."""
-    cp = configparser.ConfigParser()
+    """Parse a session INI file, applying optional CLI overrides.
+
+    A section or key the loader does not know is a ConfigError, so a
+    misspelt name cannot quietly leave its default in place.
+    """
+    cp = _SessionFile()
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -90,10 +105,9 @@ def load_config(path, *, seed=None, duration=None) -> SessionConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
 
-    if duration is None:
-        duration = _get(cp, "session", "duration", float, 60.0)
-    if seed is None:
-        seed = _get(cp, "session", "seed", int, 1)
+    # read even when overridden, so that they count as known keys
+    file_duration = _get(cp, "session", "duration", float, 60.0)
+    file_seed = _get(cp, "session", "seed", int, 1)
 
     try:
         source = SourceConfig(
@@ -101,8 +115,8 @@ def load_config(path, *, seed=None, duration=None) -> SessionConfig:
             visibility_hv=_get(cp, "source", "visibility_hv", float, 0.98),
             visibility_da=_get(cp, "source", "visibility_da", float, 0.92),
             visibility_ramp=_get(cp, "source", "visibility_ramp", float, 0.0),
-            duration=duration,
-            rng_seed=seed,
+            duration=file_duration if duration is None else duration,
+            rng_seed=file_seed if seed is None else seed,
         )
         alice = _side(cp, "alice")
         bob = _side(cp, "bob")
@@ -117,7 +131,7 @@ def load_config(path, *, seed=None, duration=None) -> SessionConfig:
             raise
         raise ConfigError(str(exc)) from None
 
-    return SessionConfig(
+    cfg = SessionConfig(
         source=source,
         alice=alice,
         bob=bob,
@@ -131,6 +145,13 @@ def load_config(path, *, seed=None, duration=None) -> SessionConfig:
         stream_alice=_get(cp, "streams", "alice", str, None),
         stream_bob=_get(cp, "streams", "bob", str, None),
     )
+    known = {section for section, _ in cp.asked}
+    unknown = [f"[{s}]" for s in cp.sections() if s not in known] + [
+        f"[{s}] {k}" for s in cp.sections() if s in known
+        for k in cp.options(s) if (s, k) not in cp.asked]
+    if unknown:
+        raise ConfigError(f"unknown in {path}: {', '.join(unknown)}")
+    return cfg
 
 
 def build_streams(cfg: SessionConfig) -> tuple[EventStream, EventStream]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, detector_basis, detector_bit
+from .core import ContractViolation, detector_basis, detector_bit, window_pairs
 
 ACCEPT_HALF_TICKS = 14       # 1.75 ns
 SERVO_HALF_TICKS = 30        # 3.75 ns
@@ -65,24 +65,17 @@ def match(local_times: np.ndarray, remote_times: np.ndarray,
     remote_times = np.asarray(remote_times, dtype=np.int64)
     if np.any(np.diff(local_times) < 0) or np.any(np.diff(remote_times) < 0):
         raise ContractViolation("match requires sorted inputs")
-    half = w.servo_half_width
-    lo = np.searchsorted(local_times, remote_times - half, side="left")
-    hi = np.searchsorted(local_times, remote_times + half, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
+    l_idx, r_idx, delta = window_pairs(local_times, remote_times,
+                                       w.servo_half_width)
+    if r_idx.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return MatchResult(empty, empty, empty, np.empty(0, dtype=bool),
                            local_times.size, remote_times.size)
-    r_idx = np.repeat(np.arange(remote_times.size), counts)
-    l_idx = np.repeat(lo, counts) + (np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts))
-    delta = remote_times[r_idx] - local_times[l_idx]
 
     # A candidate that shares neither of its events with another candidate
     # is committed whatever the order, so all of those go in at once; only
     # the contested rest, which shares no event with them, runs greedily.
-    alone = ((np.bincount(l_idx, minlength=local_times.size)[l_idx] == 1)
-             & (counts[r_idx] == 1))
+    alone = (np.bincount(l_idx)[l_idx] == 1) & (np.bincount(r_idx)[r_idx] == 1)
     contested = np.flatnonzero(~alone)
     order = contested[np.lexsort((r_idx[contested], l_idx[contested],
                                   np.abs(delta[contested])))]

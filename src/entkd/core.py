@@ -55,9 +55,22 @@ def detector_bit(detectors: np.ndarray) -> np.ndarray:
     return np.asarray(detectors) & 1
 
 
-def epoch_of(ticks: int) -> int:
-    """Epoch index of a timestamp: ticks >> 32."""
-    return int(ticks) >> 32
+def window_pairs(local_times: np.ndarray, remote_times: np.ndarray,
+                 half_window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local index, remote index and delta = remote - local of every pair
+    of events with |delta| <= half_window, given two sorted tick arrays.
+
+    Pairs come from range lookups of each remote event in the local
+    stream, so cost scales with the overlap density, not n*m. They are
+    ordered by remote index, then by local index.
+    """
+    lo = np.searchsorted(local_times, remote_times - half_window, side="left")
+    hi = np.searchsorted(local_times, remote_times + half_window, side="right")
+    counts = hi - lo
+    starts = np.cumsum(counts) - counts
+    r_idx = np.repeat(np.arange(remote_times.size), counts)
+    l_idx = np.repeat(lo - starts, counts) + np.arange(int(counts.sum()))
+    return l_idx, r_idx, remote_times[r_idx] - local_times[l_idx]
 
 
 def ticks_from_seconds(seconds: float) -> int:

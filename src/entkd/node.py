@@ -30,7 +30,7 @@ import numpy as np
 from . import coinc, tsync, wire
 from .channel import PeerEndpoint
 from .coinc import WindowConfig
-from .core import EPOCH_SECONDS, EPOCH_TICKS, EventStream, epoch_of
+from .core import EPOCH_SECONDS, EPOCH_TICKS, EventStream
 from .ecorr import (CLUSTER_THRESHOLD, Cluster, ClusterBuilder, EtaEstimator,
                     reconcile_correcting, reconcile_reference)
 from .privamp import EtaDomainError, final_length, key_digest, toeplitz_compress
@@ -103,7 +103,8 @@ def read_key_file(path) -> list[tuple[int, np.ndarray]]:
 
 
 class MetricsLog:
-    """Fixed-interval CSV rows over simulated time.
+    """Fixed-interval metrics rows over simulated time, each handed to
+    `emit` as a CSV line once its interval is over.
 
     Epoch counters land in the bucket their epoch starts in; cluster
     outcomes land in the bucket being filled when the cluster resolved.
@@ -111,12 +112,8 @@ class MetricsLog:
     every row has a defined QBER once one cluster has completed.
     """
 
-    def __init__(self, path=None, mirror=None):
-        self._fh = open(path, "w") if path else None
-        if self._fh:
-            self._fh.write(METRICS_HEADER + "\n")
-            self._fh.flush()
-        self._mirror = mirror
+    def __init__(self, emit):
+        self._emit = emit
         self._bucket = 0
         self._raw = 0
         self._sifted = 0
@@ -124,20 +121,13 @@ class MetricsLog:
         self._accidental = 0
         self._mismatched = 0
         self._qber = float("nan")
-        self.rows: list[str] = []
 
     def _flush_bucket(self) -> None:
         t = self._bucket * METRICS_INTERVAL_S
         dt = METRICS_INTERVAL_S
-        row = (f"{t:.1f},{self._raw / dt:.3f},{self._sifted / dt:.3f},"
-               f"{self._secret / dt:.3f},{self._qber:.5f},"
-               f"{self._accidental / dt:.3f},{self._mismatched}")
-        self.rows.append(row)
-        if self._fh:
-            self._fh.write(row + "\n")
-            self._fh.flush()
-        if self._mirror:
-            self._mirror(row)
+        self._emit(f"{t:.1f},{self._raw / dt:.3f},{self._sifted / dt:.3f},"
+                   f"{self._secret / dt:.3f},{self._qber:.5f},"
+                   f"{self._accidental / dt:.3f},{self._mismatched}")
         self._bucket += 1
         self._raw = self._sifted = self._secret = 0
         self._accidental = self._mismatched = 0
@@ -160,21 +150,13 @@ class MetricsLog:
         if mismatched:
             self._mismatched += 1
 
-    def write_raw_row(self, row: str) -> None:
-        self.rows.append(row)
-        if self._fh:
-            self._fh.write(row + "\n")
-            self._fh.flush()
-
-    def close(self, end_t_s: float | None = None) -> None:
-        if end_t_s is not None:
-            self.advance(end_t_s)
-            if (self._raw or self._sifted or self._secret
-                    or self._accidental or self._mismatched):
-                self._flush_bucket()
-        if self._fh:
-            self._fh.close()
-            self._fh = None
+    def close(self, end_t_s: float) -> None:
+        """Emit every row up to end_t_s, and the last, partial one if it
+        counted anything."""
+        self.advance(end_t_s)
+        if (self._raw or self._sifted or self._secret
+                or self._accidental or self._mismatched):
+            self._flush_bucket()
 
 
 @dataclass
@@ -186,18 +168,21 @@ class SessionOutcome:
     clusters_ok: int = 0
     clusters_discarded: int = 0
     clusters_mismatched: int = 0
-    qber_last: float = float("nan")
-    model: tsync.ClockModel | None = None
     reports: list = field(default_factory=list)
+
+    @property
+    def qber_last(self) -> float:
+        """The error rate of the last cluster reconciled, NaN before one."""
+        return self.reports[-1].eta if self.reports else float("nan")
 
 
 class _Station:
     """What both stations share: the peer, the cluster builder, the
-    error-rate estimate, the key file and the outcome; the session's
-    lifecycle; and what each station does with a batch it reconciles.
+    error-rate estimate, the key file, the metrics CSV and the outcome;
+    the session's lifecycle; and what each station does with a batch it
+    reconciles.
 
-    Subclasses set ROLE, PEER_ROLE and NAME, and implement _open_metrics
-    (which returns None when the station keeps no metrics) and _session.
+    Subclasses set ROLE, PEER_ROLE and NAME, and implement _session.
     """
 
     ROLE: int
@@ -214,23 +199,23 @@ class _Station:
         self._key_path = key_path
         self._metrics_path = metrics_path
         self.keys: KeyFileWriter | None = None
-        self.metrics: MetricsLog | None = None
+        self._csv = None
         self.out = SessionOutcome(role=self.NAME)
 
     def run(self) -> SessionOutcome:
-        """Open the key and metrics files, exchange HELLO with the peer,
-        then run this station's session.
+        """Open the key file and the metrics CSV, exchange HELLO with the
+        peer, then run this station's session.
 
         Whatever was opened is closed however the session ends.
         """
         try:
             if self._key_path:
                 self.keys = KeyFileWriter(self._key_path)
-            self.metrics = self._open_metrics(self._metrics_path)
-            start = epoch_of(int(self.stream.times[0])) if len(self.stream) else 0
-            self.ep.send(Message(MsgType.HELLO,
-                                 wire.encode_hello(self.ROLE, start)))
-            version, role, _ = wire.decode_hello(
+            if self._metrics_path:
+                self._csv = open(self._metrics_path, "w")
+                self._write_row(METRICS_HEADER)
+            self.ep.send(Message(MsgType.HELLO, wire.encode_hello(self.ROLE)))
+            version, role = wire.decode_hello(
                 self.ep.recv_type(MsgType.HELLO).payload)
             if version != wire.WIRE_VERSION:
                 raise ProtocolError(f"peer speaks version {version}")
@@ -240,9 +225,15 @@ class _Station:
         finally:
             if self.keys:
                 self.keys.close()
-            if self.metrics:
-                self.metrics.close()
+            if self._csv:
+                self._csv.close()
         return self.out
+
+    def _write_row(self, row: str) -> None:
+        """Append one line to the metrics CSV, if this station keeps one."""
+        if self._csv:
+            self._csv.write(row + "\n")
+            self._csv.flush()
 
     def _confirm_batch(self, batch) -> list[tuple[int, bool]]:
         """Compress, confirm and store a reconciled batch.
@@ -257,7 +248,6 @@ class _Station:
         kept = []   # (index in batch, cluster id, key, digest)
         for i, (bits, seed, report) in enumerate(batch):
             self.eta.update(report.eta)
-            self.out.qber_last = report.eta
             self.out.reports.append(report)
             try:
                 m = final_length(report.r, report.eta, report.c)
@@ -309,12 +299,11 @@ class MatcherSession(_Station):
             np.random.SeedSequence((session_seed, 0xA17CE)))
         self.model: tsync.ClockModel | None = None
         self._ready: list[Cluster] = []   # closed, awaiting their batch
+        self.metrics = MetricsLog(self._emit_metrics)
 
-    def _open_metrics(self, path) -> MetricsLog:
-        # kept without a file too: every row is mirrored to the peer
-        return MetricsLog(path, mirror=self._mirror_metrics)
-
-    def _mirror_metrics(self, row: str) -> None:
+    def _emit_metrics(self, row: str) -> None:
+        # kept without a file too: the streamer writes every row it is sent
+        self._write_row(row)
         self.ep.send(Message(MsgType.METRICS, row.encode()))
 
     # -- per-epoch pipeline ------------------------------------------
@@ -411,7 +400,6 @@ class MatcherSession(_Station):
             self._ready.append(tail)
         if self._ready:
             self._run_batch()
-        self.out.model = self.model
         self.metrics.close((last_epoch + 1) * EPOCH_SECONDS)
         self.ep.send(Message(MsgType.BYE, b""))
         self.ep.recv_type(MsgType.BYE)
@@ -430,9 +418,6 @@ class StreamerSession(_Station):
         self._pending: dict[int, Cluster] = {}
         # the detectors of each epoch sent, which the replies sift
         self._detectors: dict[int, np.ndarray] = {}
-
-    def _open_metrics(self, path) -> MetricsLog | None:
-        return MetricsLog(path) if path else None
 
     def _on_coinc_reply(self, msg: Message) -> None:
         epoch, kept = wire.decode_coinc_reply(msg.payload)
@@ -483,8 +468,7 @@ class StreamerSession(_Station):
             elif msg.type == MsgType.BATCH_SEEDS:
                 self._on_batch_seeds(msg)
             elif msg.type == MsgType.METRICS:
-                if self.metrics:
-                    self.metrics.write_raw_row(msg.payload.decode())
+                self._write_row(msg.payload.decode())
             elif msg.type == MsgType.BYE:
                 break
             else:

@@ -32,6 +32,7 @@ from .core import (
     EPOCH_TICKS,
     FINE_BIN_TICKS,
     ContractViolation,
+    window_pairs,
 )
 
 SIGNIFICANCE_THRESHOLD = 6.0
@@ -123,26 +124,11 @@ def coarse_correlate(local_times: np.ndarray, remote_times: np.ndarray) -> Corre
     return CorrelationResult(significance, float(signed * COARSE_BIN_TICKS))
 
 
-def _pair_deltas(local_times, shifted, half_window: int):
-    """Remote index and (shifted - local) of every pair within +-half_window.
-
-    Pairs come from range lookups of each shifted remote event against the
-    sorted local stream, so cost scales with the overlap density, not n*m.
-    """
-    lo = np.searchsorted(local_times, shifted - half_window, side="left")
-    hi = np.searchsorted(local_times, shifted + half_window, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    r_idx = np.repeat(np.arange(shifted.size), counts)
-    l_idx = np.repeat(lo, counts) + (np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts))
-    return r_idx, shifted[r_idx] - local_times[l_idx]
-
-
 def _delta_histogram(local_times, remote_times, center: float, half_window: int,
                      bin_ticks: int):
     """Histogram of (remote - center - local) over +-half_window at bin_ticks."""
     shifted = np.asarray(remote_times, dtype=np.int64) - int(round(center))
-    _, deltas = _pair_deltas(local_times, shifted, half_window)
+    _, _, deltas = window_pairs(local_times, shifted, half_window)
     deltas = deltas[(deltas >= -half_window) & (deltas < half_window)]
     hist = np.bincount((deltas + half_window) // bin_ticks,
                        minlength=(2 * half_window) // bin_ticks)
@@ -225,8 +211,8 @@ def _drift_histograms(local_times, remote_times, offset: float, reference: float
     for chunk in np.split(remote_times, cuts):
         tau = chunk.astype(np.float64) - reference
         widen = math.ceil(_SCAN_LIMIT * float(np.abs(tau).max(initial=0.0)))
-        r_idx, base = _pair_deltas(local_times, chunk - int(round(offset)),
-                                   _MID_WINDOW + widen)
+        _, r_idx, base = window_pairs(local_times, chunk - int(round(offset)),
+                                      _MID_WINDOW + widen)
         tau = tau[r_idx]
         base += _MID_WINDOW
         for lo in range(0, base.size, _SCAN_BLOCK):

@@ -38,7 +38,8 @@ RICE_K_MAX = 40
 # 5: BATCH_SEEDS (tag 5, was EC_PERMUTE_SEED) carries each cluster's
 #    compression seed too; final lengths no longer cross the wire (tag 6
 #    is gone), and one KEY_HASH lists every kept cluster's digest
-WIRE_VERSION = 5
+# 6: HELLO is (u16 version, u8 role), without the unused start epoch
+WIRE_VERSION = 6
 
 
 class DecodeError(ValueError):
@@ -262,7 +263,7 @@ def decode_timing(b: bytes) -> TimingPacket:
 # ---------------------------------------------------------------------------
 # control payloads
 
-_HELLO = struct.Struct("<HBI")
+_HELLO = struct.Struct("<HB")
 _U32 = struct.Struct("<I")
 _EC_SECTION = struct.Struct("<IHBI")
 # the fixed-size record of each cluster list: (u32 cluster id, u64 EC
@@ -271,15 +272,15 @@ _RECORD = {MsgType.BATCH_SEEDS: struct.Struct("<IQQ"),
            MsgType.KEY_HASH: struct.Struct("<IQ")}
 
 
-def encode_hello(role: int, start_epoch: int, version: int = WIRE_VERSION) -> bytes:
-    return _HELLO.pack(version, role, start_epoch)
+def encode_hello(role: int, version: int = WIRE_VERSION) -> bytes:
+    return _HELLO.pack(version, role)
 
 
-def decode_hello(b: bytes) -> tuple[int, int, int]:
+def decode_hello(b: bytes) -> tuple[int, int]:
     if len(b) != _HELLO.size:
         raise DecodeError("bad hello size", 0)
-    version, role, start_epoch = _HELLO.unpack(b)
-    return version, role, start_epoch
+    version, role = _HELLO.unpack(b)
+    return version, role
 
 
 def encode_coinc_reply(epoch: int, kept_remote_indices: np.ndarray) -> bytes:

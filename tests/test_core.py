@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from entkd.core import (COARSE_BIN_TICKS, COARSE_BINS_PER_EPOCH, EPOCH_TICKS,
                         FINE_BIN_TICKS, TICKS_PER_NS, TICKS_PER_SECOND,
                         ContractViolation, EventStream, detector_basis,
-                        detector_bit, epoch_of, ticks_from_seconds)
+                        detector_bit, ticks_from_seconds)
 
 
 def test_tick_unit_identities():
@@ -17,13 +17,6 @@ def test_tick_unit_identities():
     assert FINE_BIN_TICKS * 125 == 2_000
     assert EPOCH_TICKS == (1 << 29) * TICKS_PER_NS
     assert COARSE_BINS_PER_EPOCH * COARSE_BIN_TICKS == EPOCH_TICKS
-
-
-def test_epoch_of():
-    assert epoch_of(0) == 0
-    assert epoch_of(EPOCH_TICKS - 1) == 0
-    assert epoch_of(EPOCH_TICKS) == 1
-    assert epoch_of(np.int64(5 * EPOCH_TICKS + 17)) == 5
 
 
 def test_ticks_from_seconds():

@@ -1,3 +1,4 @@
+import configparser
 import gc
 import hashlib
 import math
@@ -15,9 +16,9 @@ from ec_pair import reconcile_pair
 from entkd import app, cli, node
 from entkd.channel import MessageIO
 from entkd.core import EPOCH_TICKS, EventStream
-from entkd.node import (PROTO_ROLE_MATCHER, PROTO_ROLE_STREAMER,
-                        KeyFileWriter, MatcherSession, MetricsLog,
-                        StreamerSession, read_key_file)
+from entkd.node import (METRICS_HEADER, PROTO_ROLE_MATCHER,
+                        PROTO_ROLE_STREAMER, KeyFileWriter, MatcherSession,
+                        MetricsLog, StreamerSession, read_key_file)
 from entkd.physim import read_stream_dump, simulate_link, write_stream_dump
 from entkd.privamp import final_length
 from entkd.wire import (WIRE_VERSION, Message, MsgType, ProtocolError,
@@ -107,18 +108,16 @@ def test_key_file_errors(tmp_path):
 # metrics
 
 
-def test_metrics_log_bucketing(tmp_path):
-    p = tmp_path / "m.csv"
-    log = MetricsLog(p)
+def test_metrics_log_bucketing():
+    lines = []
+    log = MetricsLog(lines.append)
     log.add_epoch(0, raw=100, sifted=50, accidental=5)    # t = 0.0 s
     log.add_epoch(19, raw=40, sifted=20, accidental=1)    # t = 10.2 s
     log.add_cluster(secret_bits=30, qber=0.0625, mismatched=False)
     log.add_cluster(secret_bits=0, qber=0.07, mismatched=True)
     log.close(25.0)
-    lines = p.read_text().strip().split("\n")
-    assert lines[0] == ("t_s,raw_cps,sifted_cps,secret_cps,qber,"
-                        "accidental_cps,mismatched_clusters")
-    rows = [line.split(",") for line in lines[1:]]
+    rows = [line.split(",") for line in lines]
+    assert all(len(row) == len(METRICS_HEADER.split(",")) for row in rows)
     assert len(rows) == 2
     # bucket 0: only the first epoch; error rate still undefined
     assert rows[0][0] == "0.0"
@@ -134,11 +133,12 @@ def test_metrics_log_bucketing(tmp_path):
 
 
 def test_metrics_qber_carry_forward():
-    log = MetricsLog(None)
+    rows = []
+    log = MetricsLog(rows.append)
     log.add_cluster(10, 0.04, False)
     log.advance(35.0)
-    assert len(log.rows) == 3
-    assert all(row.split(",")[4] == "0.04000" for row in log.rows)
+    assert len(rows) == 3
+    assert all(row.split(",")[4] == "0.04000" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +289,24 @@ def test_nominal_keys_golden(tmp_path):
         assert digest == NOMINAL_KEYS_SHA256, name
 
 
+# SHA-256 of each station's metrics CSV from configs/nominal_run.ini: the
+# streamer writes the rows the matcher sends it, so the two files are the
+# same bytes. Updated, with the reason in CHANGES.md, like the key digest.
+NOMINAL_METRICS_SHA256 = (
+    "fbdc13347327b2a92134f5b7df821f2bba00a1a0be512e14dbdc663e995cb6da")
+
+
+def test_nominal_metrics_golden(tmp_path):
+    cfg = app.load_config(CONFIG_DIR / "nominal_run.ini")
+    cfg.keys_alice = cfg.keys_bob = None
+    cfg.metrics_alice = str(tmp_path / "a.csv")
+    cfg.metrics_bob = str(tmp_path / "b.csv")
+    app.run_loopback(cfg)
+    a, b = (tmp_path / "a.csv").read_bytes(), (tmp_path / "b.csv").read_bytes()
+    assert a == b
+    assert hashlib.sha256(a).hexdigest() == NOMINAL_METRICS_SHA256
+
+
 def test_loopback_noisy_secrecy_ledger(tmp_path):
     cfg = app.load_config(_write_ini(
         tmp_path / "s.ini", duration=6.0, seed=23, pair_rate=8000.0,
@@ -344,7 +362,7 @@ def test_disclosed_bits_audited_from_the_wire(tmp_path, monkeypatch):
 
     counted = {}   # sender role -> cluster id -> counted bits
     for msgs in sent.values():
-        _, role, _ = decode_hello(msgs[0].payload)
+        _, role = decode_hello(msgs[0].payload)
         tally = counted.setdefault(role, Counter())
         for msg in msgs:
             if msg.type == MsgType.EC_PARITY:
@@ -650,7 +668,7 @@ def test_streamer_rejects_ec_seed_for_unknown_cluster():
     for bad_cid, sift in ((1, True), (0, False)):
         peer, io_s = _io_pair()
         worker, box = _start_streamer(io_s, sb, cluster_threshold=10**6)
-        peer.send(Message(MsgType.HELLO, encode_hello(PROTO_ROLE_MATCHER, 0)))
+        peer.send(Message(MsgType.HELLO, encode_hello(PROTO_ROLE_MATCHER)))
         assert decode_hello(peer.recv().payload)[1] == PROTO_ROLE_STREAMER
         first = None
         while (msg := peer.recv()).type == MsgType.TIMING:
@@ -679,7 +697,7 @@ def test_hello_with_wrong_version_is_refused():
         io_m, peer = _io_pair()
         matcher = MatcherSession(io_m, sa)
         peer.send(Message(MsgType.HELLO, encode_hello(
-            PROTO_ROLE_STREAMER, 0, version=other)))
+            PROTO_ROLE_STREAMER, version=other)))
         with pytest.raises(ProtocolError, match=f"version {other}"):
             matcher.run()
         assert decode_hello(peer.recv().payload)[0] == WIRE_VERSION
@@ -690,7 +708,7 @@ def test_hello_with_wrong_version_is_refused():
         peer, io_s = _io_pair()
         worker, box = _start_streamer(io_s, sb)
         peer.send(Message(MsgType.HELLO, encode_hello(
-            PROTO_ROLE_MATCHER, 0, version=other)))
+            PROTO_ROLE_MATCHER, version=other)))
         worker.join(timeout=30)
         assert not worker.is_alive()
         assert isinstance(box.get("err"), ProtocolError)
@@ -847,6 +865,73 @@ def test_config_errors(tmp_path):
     badwin.write_text("[windows]\naccept_half = 40\nservo_half = 30\n")
     with pytest.raises(app.ConfigError):
         app.load_config(badwin)
+
+
+def test_config_refuses_unknown_sections_and_keys(tmp_path):
+    good = _write_ini(tmp_path / "good.ini").read_text()
+    for typo, where in (("pair_rate", "pair_rte"), ("efficiency", "eficiency"),
+                        ("[ecorr]", "[windws]"), ("[session]", "[DEFAULT]")):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(good.replace(typo, where, 1))
+        with pytest.raises(app.ConfigError,
+                           match=f"unknown .*{where.strip('[]')}"):
+            app.load_config(bad)
+        assert cli.main(["loopback", "--config", str(bad)]) == cli.EXIT_CONFIG
+    # a key the CLI overrides is still a known key of the file
+    cfg = app.load_config(_write_ini(tmp_path / "s.ini", duration=4.5, seed=7),
+                          seed=5, duration=1.0)
+    assert (cfg.seed, cfg.duration) == (5, 1.0)
+
+
+# where each [section] key of a session file lands in the SessionConfig
+_CONFIG_FIELDS = {
+    ("session", "duration"): lambda c: c.duration,
+    ("session", "seed"): lambda c: c.seed,
+    **{("source", k): (lambda c, k=k: getattr(c.source, k))
+       for k in ("pair_rate", "visibility_hv", "visibility_da",
+                 "visibility_ramp")},
+    **{(side, k): (lambda c, side=side, k=k: getattr(getattr(c, side), k))
+       for side in ("alice", "bob")
+       for k in ("efficiency", "jitter_sigma", "dark_rate", "dead_time",
+                 "clock_offset", "clock_drift")},
+    **{(side, "delays"): (lambda c, side=side: getattr(c, side).detector_delays)
+       for side in ("alice", "bob")},
+    **{("windows", k): (lambda c, f=f: getattr(c.windows, f))
+       for k, f in (("accept_half", "accept_half_width"),
+                    ("servo_half", "servo_half_width"),
+                    ("accidental_center", "accidental_center"),
+                    ("accidental_half", "accidental_half_width"))},
+    ("ecorr", "cluster_bits"): lambda c: c.cluster_threshold,
+    **{("output", k): (lambda c, k=k: getattr(c, k))
+       for k in ("keys_alice", "keys_bob", "metrics_alice", "metrics_bob")},
+    **{("streams", side): (lambda c, side=side: getattr(c, f"stream_{side}"))
+       for side in ("alice", "bob")},
+}
+
+
+@pytest.mark.parametrize("name", ["nominal", "bright_link", "noisy_link",
+                                  "written"])
+def test_session_files_load_every_key(name, tmp_path):
+    # every key of the shipped files and of _write_ini reaches its field
+    if name == "nominal":
+        path = CONFIG_DIR / "nominal_run.ini"
+    elif name == "written":
+        path = _write_ini(tmp_path / "s.ini", keys_a="a.etky", keys_b="b.etky",
+                          metrics_a="a.csv", metrics_b="b.csv",
+                          stream_a="a.etkd", stream_b="b.etkd")
+    else:
+        path = CONFIG_DIR.parent / "perfbench" / "workloads" / f"{name}.ini"
+    cfg = app.load_config(path)
+    plain = configparser.ConfigParser()
+    plain.read(path)
+    for section in plain.sections():
+        for key, raw in plain[section].items():
+            got = _CONFIG_FIELDS[section, key](cfg)
+            if isinstance(got, tuple):
+                want = tuple(int(x) for x in raw.split(","))
+            else:
+                want = type(got)(raw)
+            assert got == want, (section, key)
 
 
 def test_build_streams_dump_pairing(tmp_path):

@@ -349,7 +349,8 @@ def test_seed_decoder_rejections():
 
 
 def test_control_codecs():
-    assert decode_hello(encode_hello(1, 42)) == (WIRE_VERSION, 1, 42)
+    assert decode_hello(encode_hello(1)) == (WIRE_VERSION, 1)
+    assert decode_hello(encode_hello(0, version=3)) == (3, 0)
     seeds = [(7, 2**63 + 5, 2**62 - 1)]
     assert decode_records(MsgType.BATCH_SEEDS,
                           encode_records(MsgType.BATCH_SEEDS, seeds)) == seeds
@@ -358,3 +359,13 @@ def test_control_codecs():
                           encode_records(MsgType.KEY_HASH, digests)) == digests
     with pytest.raises(DecodeError):
         decode_hello(b"\x00")
+    with pytest.raises(DecodeError):   # the version 5 layout, with an epoch
+        decode_hello(bytes(7))
+
+
+def test_hello_golden_bytes():
+    # (u16 version, u8 role), little-endian
+    assert WIRE_VERSION == 6
+    assert encode_hello(0) == b"\x06\x00\x00"
+    assert encode_hello(1) == b"\x06\x00\x01"
+    assert encode_hello(1, version=0x0102) == b"\x02\x01\x01"
