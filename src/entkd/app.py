@@ -154,21 +154,29 @@ def load_config(path, *, seed=None, duration=None) -> SessionConfig:
     return cfg
 
 
-def build_streams(cfg: SessionConfig) -> tuple[EventStream, EventStream]:
-    """Produce both stations' event streams: recorded dumps if the config
-    names them, otherwise a fresh simulation of the link."""
+def build_streams(cfg: SessionConfig, *, alice: bool = True, bob: bool = True
+                  ) -> tuple[EventStream | None, EventStream | None]:
+    """Produce the stations' event streams: recorded dumps if the config
+    names them, otherwise a fresh simulation of the link. A station that
+    runs one side alone asks for that side only and gets None for the
+    other."""
     if (cfg.stream_alice is None) != (cfg.stream_bob is None):
         raise ConfigError("stream dumps must be given for both sides or neither")
     if cfg.stream_alice is not None:
-        try:
-            side_a, stream_a = read_stream_dump(cfg.stream_alice)
-            side_b, stream_b = read_stream_dump(cfg.stream_bob)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load stream dumps: {exc}") from None
-        if side_a != 0 or side_b != 1:
-            raise ConfigError("stream dumps have swapped or repeated sides")
-        return stream_a, stream_b
-    return simulate_link(cfg.source, cfg.alice, cfg.bob)
+        return (_read_dump(cfg.stream_alice, 0) if alice else None,
+                _read_dump(cfg.stream_bob, 1) if bob else None)
+    return simulate_link(cfg.source, cfg.alice if alice else None,
+                         cfg.bob if bob else None)
+
+
+def _read_dump(path: str, side: int) -> EventStream:
+    try:
+        found, stream = read_stream_dump(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load stream dumps: {exc}") from None
+    if found != side:
+        raise ConfigError("stream dumps have swapped or repeated sides")
+    return stream
 
 
 def _station(cfg: SessionConfig, role: int, sock: socket.socket,
@@ -244,7 +252,7 @@ def parse_endpoint(text: str) -> tuple[str, int]:
 def run_matcher_tcp(cfg: SessionConfig, listen: str, timeout: float = 120.0):
     """Run the matcher station as a TCP server for one session."""
     host, port = parse_endpoint(listen)
-    stream, _ = build_streams(cfg)
+    stream, _ = build_streams(cfg, bob=False)
     with socket.create_server((host, port)) as srv:
         srv.settimeout(timeout)
         conn, _addr = srv.accept()
@@ -255,7 +263,7 @@ def run_matcher_tcp(cfg: SessionConfig, listen: str, timeout: float = 120.0):
 def run_streamer_tcp(cfg: SessionConfig, peer: str, timeout: float = 120.0):
     """Run the streamer station as a TCP client for one session."""
     host, port = parse_endpoint(peer)
-    _, stream = build_streams(cfg)
+    _, stream = build_streams(cfg, alice=False)
     conn = socket.create_connection((host, port), timeout=timeout)
     return _station(cfg, PROTO_ROLE_STREAMER, conn, stream)
 

@@ -29,6 +29,9 @@ _SALT_OUTCOMES = 2
 _SALT_SIDE_A = 3
 _SALT_SIDE_B = 4
 
+# a local time must leave two bits free for the detector in the sort key
+_TIME_LIMIT = 1 << 61
+
 
 @dataclass
 class SourceConfig:
@@ -123,8 +126,8 @@ def detect_side(pair_times: np.ndarray, outcome_bits, side: SideConfig,
     n = pair_times.size
     bits_hv, bits_da = outcome_bits
     basis = rng.integers(0, 2, n, dtype=np.uint8)
-    bit = np.where(basis == 0, bits_hv, bits_da).astype(np.uint8)
-    det = (basis * 2 + bit).astype(np.uint8)
+    det = np.where(basis == 0, bits_hv, bits_da)
+    det |= basis << 1
     kept = rng.random(n) < side.efficiency
 
     # cut to the detected photons before the timing arithmetic, which would
@@ -145,37 +148,78 @@ def detect_side(pair_times: np.ndarray, outcome_bits, side: SideConfig,
     all_t = np.concatenate([photon_t] + dark_t)
     all_d = np.concatenate([det] + dark_d)
 
-    # local clock: t' = round((1+drift) t) + offset, events before t'=0 are lost
-    skewed = np.rint((1.0 + side.clock_drift) * all_t).astype(np.int64) + side.clock_offset
+    # local clock: t' = round((1+drift) t) + offset, events before t'=0 are
+    # lost; rounded in place, so that one float copy of the times is alive
+    skewed = all_t * (1.0 + side.clock_drift)
+    del all_t
+    np.rint(skewed, out=skewed)
+    skewed = skewed.astype(np.int64)
+    skewed += side.clock_offset
     valid = skewed >= 0
     skewed, all_d = skewed[valid], all_d[valid]
 
-    order = np.lexsort((all_d, skewed))
-    skewed, all_d = skewed[order], all_d[order]
+    # order by (time, detector): both go into one key, 4 t + d, sorted in
+    # place; events equal in both are equal keys, so no order is lost
+    if skewed.size and skewed.max() >= _TIME_LIMIT:
+        raise ContractViolation("local time reaches 2**61 ticks")
+    skewed <<= 2
+    skewed |= all_d
+    skewed.sort()
+    all_d = skewed.astype(np.uint8)
+    all_d &= 3
+    skewed >>= 2
 
-    if side.dead_time > 0 and skewed.size:
-        alive = np.ones(skewed.size, dtype=bool)
-        last = [-1 << 62] * 4
-        for i in range(skewed.size):
-            d = all_d[i]
-            if skewed[i] - last[d] < side.dead_time:
-                alive[i] = False
-            else:
-                last[d] = skewed[i]
+    if side.dead_time > 0:
+        alive = _dead_time_alive(skewed, all_d, side.dead_time)
         skewed, all_d = skewed[alive], all_d[alive]
 
     return EventStream(skewed, all_d)
 
 
-def simulate_link(source: SourceConfig, alice: SideConfig, bob: SideConfig):
-    """Full link: (alice stream, bob stream)."""
+def _dead_time_alive(times: np.ndarray, dets: np.ndarray,
+                     dead_time: int) -> np.ndarray:
+    """Mask of the events that a same-detector dead time keeps.
+
+    The rule is sequential: an event is lost if it comes less than
+    `dead_time` after the last kept event on its detector. An event at
+    least `dead_time` after the previous event on its detector is always
+    kept, so only runs of close events need the rule applied one by one.
+    """
+    alive = np.ones(times.size, dtype=bool)
+    for d in range(4):
+        idx = np.flatnonzero(dets == d)
+        t = times[idx]
+        close = np.flatnonzero(np.diff(t) < dead_time) + 1
+        lost = []
+        last = prev = None
+        for k, tk, t_before in zip(close.tolist(), t[close].tolist(),
+                                   t[close - 1].tolist()):
+            if k - 1 != prev:   # a run starts after an event that is kept
+                last = t_before
+            if tk - last < dead_time:
+                lost.append(k)
+            else:
+                last = tk
+            prev = k
+        alive[idx[lost]] = False
+    return alive
+
+
+def simulate_link(source: SourceConfig, alice: SideConfig | None,
+                  bob: SideConfig | None):
+    """Full link: (alice stream, bob stream).
+
+    A side given as None is not detected and comes back as None. Each side
+    draws from its own RNG, so the other side's stream is the same either
+    way: a station that runs one side alone gets the bits of the full link.
+    """
     pair_times = simulate_pairs(source)
     tables_a, tables_b = _outcome_tables(source, pair_times, _rng(source.rng_seed, _SALT_OUTCOMES))
-    stream_a = detect_side(pair_times, tables_a, alice, _rng(source.rng_seed, _SALT_SIDE_A),
-                           source.duration)
-    stream_b = detect_side(pair_times, tables_b, bob, _rng(source.rng_seed, _SALT_SIDE_B),
-                           source.duration)
-    return stream_a, stream_b
+    return tuple(
+        None if side is None else detect_side(
+            pair_times, tables, side, _rng(source.rng_seed, salt), source.duration)
+        for side, tables, salt in ((alice, tables_a, _SALT_SIDE_A),
+                                   (bob, tables_b, _SALT_SIDE_B)))
 
 
 # ---------------------------------------------------------------------------

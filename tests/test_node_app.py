@@ -934,11 +934,48 @@ def test_session_files_load_every_key(name, tmp_path):
             assert got == want, (section, key)
 
 
+def test_readme_config_example_loads(tmp_path):
+    # the Configuration section's example, copied into a file, must load
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    start = readme.index("```ini\n") + len("```ini\n")
+    ini = tmp_path / "readme.ini"
+    ini.write_text(readme[start:readme.index("```", start)])
+    cfg = app.load_config(ini)
+    assert cfg.duration == 60.0 and cfg.seed == 1
+    assert cfg.source.pair_rate == 10000 and cfg.source.visibility_da == 0.92
+    assert cfg.alice.detector_delays == (0, 0, 0, 0)
+    assert cfg.alice.clock_drift == 0.0 and cfg.bob.dead_time == 0
+    assert cfg.windows.accidental_center == 160
+    assert cfg.cluster_threshold == 5000
+    assert (cfg.keys_alice, cfg.metrics_bob) == ("alice.etky", "bob.csv")
+    assert cfg.stream_alice is None and cfg.stream_bob is None
+
+
 def test_build_streams_dump_pairing(tmp_path):
     ini = tmp_path / "s.ini"
     ini.write_text("[streams]\nalice = only_one.etkd\n")
     with pytest.raises(app.ConfigError):
         app.build_streams(app.load_config(ini))
+    # one side alone: that side's dump or simulation, None for the other
+    cfg = app.load_config(_write_ini(tmp_path / "sim.ini", duration=0.5))
+    stream_a, stream_b = app.build_streams(cfg)
+    dumps = tmp_path / "a.etkd", tmp_path / "b.etkd"
+    write_stream_dump(dumps[0], 0, stream_a)
+    write_stream_dump(dumps[1], 1, stream_b)
+    replay = app.load_config(_write_ini(tmp_path / "replay.ini",
+                                        stream_a=dumps[0], stream_b=dumps[1]))
+    for c in (cfg, replay):
+        alone_a, none_b = app.build_streams(c, bob=False)
+        none_a, alone_b = app.build_streams(c, alice=False)
+        assert none_a is None and none_b is None
+        for got, want in ((alone_a, stream_a), (alone_b, stream_b)):
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.detectors, want.detectors)
+    swapped = app.load_config(_write_ini(tmp_path / "swap.ini",
+                                         stream_a=dumps[1], stream_b=dumps[0]))
+    for kw in ({}, {"alice": False}, {"bob": False}):
+        with pytest.raises(app.ConfigError):
+            app.build_streams(swapped, **kw)
 
 
 def test_parse_endpoint():

@@ -1,12 +1,46 @@
+import dataclasses
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from entkd.app import load_config
 from entkd.core import (Basis, ContractViolation, EventStream,
                         ticks_from_seconds)
-from entkd.physim import (SideConfig, SourceConfig, _outcome_tables,
-                          read_stream_dump, simulate_link, simulate_pairs,
-                          write_stream_dump)
+from entkd.physim import (SideConfig, SourceConfig, _dead_time_alive,
+                          _outcome_tables, detect_side, read_stream_dump,
+                          simulate_link, simulate_pairs, write_stream_dump)
 from truth_oracle import simulate_with_truth
+
+
+def _stream_sha256(stream):
+    h = hashlib.sha256(stream.times.astype("<i8").tobytes())
+    h.update(stream.detectors.astype(np.uint8).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of the alice and bob streams (little-endian int64 times, then
+# uint8 detectors) from configs/nominal_run.ini at its seed. A change that
+# alters the simulated link on purpose updates these and says why in
+# CHANGES.md.
+NOMINAL_STREAMS_SHA256 = (
+    "273189d2313387677aeef18140ac574a6b6c271bb5952c885716be7f1a1ac6d1",
+    "c5fa5662109e104d87f8338778b065a1efb0c6b0e089423784e23df64958b783")
+
+# The same for a short dense link with dark counts, dead time, drift, a
+# clock offset each way, and events on one tick at different detectors.
+DENSE_SOURCE = SourceConfig(pair_rate=1e9, duration=2e-4, rng_seed=13,
+                            visibility_hv=0.97, visibility_da=0.9)
+DENSE_ALICE = SideConfig(efficiency=0.5, jitter_sigma=1.5,
+                         detector_delays=(0, 1, 2, 3), dark_rate=5e7,
+                         dead_time=40, clock_offset=12345, clock_drift=2e-4)
+DENSE_BOB = SideConfig(efficiency=0.4, jitter_sigma=2.0,
+                       detector_delays=(3, 3, 0, 0), dark_rate=3e7,
+                       dead_time=25, clock_offset=-20000, clock_drift=-1e-4)
+DENSE_STREAMS_SHA256 = (
+    "da556549b4a60fdd6dfd8f7bfd88c47bc08fb7d4fcc6f8d7e93eaea7f84609fe",
+    "26b15259354ca1a7890136a07e8aa64b242189e51df1f63cedaec8f890146654")
 
 
 def _count_anti(src, basis_a, basis_b, n, seed=1):
@@ -128,6 +162,78 @@ def test_dead_time_enforced():
             assert int(np.diff(t).min()) >= 400
 
 
+def _dead_time_by_event(times, dets, dead_time):
+    """The sequential dead-time rule, one event at a time."""
+    alive = np.ones(times.size, dtype=bool)
+    last = [None] * 4
+    for i, (t, d) in enumerate(zip(times.tolist(), dets.tolist())):
+        if last[d] is not None and t - last[d] < dead_time:
+            alive[i] = False
+        else:
+            last[d] = t
+    return alive
+
+
+def test_dead_time_rule_is_sequential():
+    # 300 falls inside 0's dead time and is lost; 500 is 200 after the
+    # lost event but 500 after the last kept one, so it is kept
+    t = np.array([0, 300, 500], dtype=np.int64)
+    assert _dead_time_alive(t, np.zeros(3, np.uint8), 400).tolist() == [
+        True, False, True]
+    # detectors keep their own dead time, and ties on one tick stay
+    t = np.array([0, 0, 300, 300, 500, 500, 800, 900], dtype=np.int64)
+    d = np.array([0, 1, 0, 1, 0, 1, 0, 0], dtype=np.uint8)
+    assert _dead_time_alive(t, d, 400).tolist() == [
+        True, True, False, False, True, True, False, True]
+    rng = np.random.default_rng(5)
+    for dead in (1, 7, 40):
+        t = np.sort(rng.integers(0, 3000, 1000))
+        d = rng.integers(0, 4, 1000).astype(np.uint8)
+        order = np.lexsort((d, t))
+        t, d = t[order], d[order]
+        assert np.array_equal(_dead_time_alive(t, d, dead),
+                              _dead_time_by_event(t, d, dead))
+
+
+def test_dead_time_runs_follow_the_sequential_rule():
+    # the dense link has many runs of close same-detector events: keeping
+    # each event whose predecessor is one dead time earlier would keep far
+    # fewer than the sequential rule does
+    for side in (DENSE_ALICE, DENSE_BOB):
+        free = dataclasses.replace(side, dead_time=0)
+        stream, _ = simulate_link(DENSE_SOURCE, side, None)
+        raw, _ = simulate_link(DENSE_SOURCE, free, None)
+        by_gap = np.ones(len(raw), dtype=bool)
+        for det in range(4):
+            idx = np.flatnonzero(raw.detectors == det)
+            by_gap[idx[1:]] = np.diff(raw.times[idx]) >= side.dead_time
+        assert len(stream) > 1.05 * by_gap.sum()
+        alive = _dead_time_by_event(raw.times, raw.detectors, side.dead_time)
+        assert np.array_equal(stream.times, raw.times[alive])
+        assert np.array_equal(stream.detectors, raw.detectors[alive])
+
+
+def test_each_side_alone_matches_the_link():
+    sa, sb = simulate_link(DENSE_SOURCE, DENSE_ALICE, DENSE_BOB)
+    alone_a, none_b = simulate_link(DENSE_SOURCE, DENSE_ALICE, None)
+    none_a, alone_b = simulate_link(DENSE_SOURCE, None, DENSE_BOB)
+    assert none_a is None and none_b is None
+    for got, want in ((alone_a, sa), (alone_b, sb)):
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.detectors, want.detectors)
+
+
+def test_time_past_the_sort_key_is_refused():
+    side = SideConfig(clock_offset=1 << 61)
+    rng = np.random.default_rng(0)
+    tables = (np.zeros(1, np.uint8), np.zeros(1, np.uint8))
+    with pytest.raises(ContractViolation):
+        detect_side(np.zeros(1, np.int64), tables, side, rng, 1.0)
+    ok = SideConfig(clock_offset=(1 << 61) - 3, detector_delays=(0,) * 4)
+    s = detect_side(np.zeros(1, np.int64), tables, ok, rng, 1.0)
+    assert s.times.tolist() == [(1 << 61) - 3]
+
+
 def test_clock_transform():
     src = SourceConfig(pair_rate=10000, duration=0.5, rng_seed=9)
     plain = SideConfig(efficiency=1.0, detector_delays=(0, 0, 0, 0))
@@ -193,3 +299,25 @@ def test_stream_dump_errors(tmp_path):
     (tmp_path / "short.etkd").write_bytes(data[:4])
     with pytest.raises(ContractViolation):
         read_stream_dump(tmp_path / "short.etkd")
+
+
+def test_nominal_streams_golden():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                      / "nominal_run.ini")
+    streams = simulate_link(cfg.source, cfg.alice, cfg.bob)
+    assert tuple(map(_stream_sha256, streams)) == NOMINAL_STREAMS_SHA256
+
+
+def test_dense_streams_golden():
+    # the truth replay sorts with lexsort and applies dead time event by
+    # event, and raises unless it reproduces both streams
+    sa, sb, _ = simulate_with_truth(DENSE_SOURCE, DENSE_ALICE, DENSE_BOB)
+    assert (_stream_sha256(sa), _stream_sha256(sb)) == DENSE_STREAMS_SHA256
+    for stream, side in ((sa, DENSE_ALICE), (sb, DENSE_BOB)):
+        t, d = stream.times, stream.detectors
+        # same-tick events on different detectors, ordered by detector
+        ties = t[1:] == t[:-1]
+        assert (d[1:][ties] > d[:-1][ties]).all() and ties.sum() > 100
+        # and dead time holds on every detector
+        for det in range(4):
+            assert np.diff(t[d == det]).min() >= side.dead_time
