@@ -145,6 +145,9 @@ def load_config(path, *, seed=None, duration=None) -> SessionConfig:
         stream_alice=_get(cp, "streams", "alice", str, None),
         stream_bob=_get(cp, "streams", "bob", str, None),
     )
+    if cfg.cluster_threshold <= 0:
+        raise ConfigError(f"[ecorr] cluster_bits = {cfg.cluster_threshold}: "
+                          "must be positive")
     known = {section for section, _ in cp.asked}
     unknown = [f"[{s}]" for s in cp.sections() if s not in known] + [
         f"[{s}] {k}" for s in cp.sections() if s in known

@@ -48,8 +48,6 @@ class MatchResult:
     remote_index: np.ndarray
     delta: np.ndarray
     accept_mask: np.ndarray
-    unmatched_local: int = 0
-    unmatched_remote: int = 0
 
 
 def match(local_times: np.ndarray, remote_times: np.ndarray,
@@ -69,8 +67,7 @@ def match(local_times: np.ndarray, remote_times: np.ndarray,
                                        w.servo_half_width)
     if r_idx.size == 0:
         empty = np.empty(0, dtype=np.int64)
-        return MatchResult(empty, empty, empty, np.empty(0, dtype=bool),
-                           local_times.size, remote_times.size)
+        return MatchResult(empty, empty, empty, np.empty(0, dtype=bool))
 
     # A candidate that shares neither of its events with another candidate
     # is committed whatever the order, so all of those go in at once; only
@@ -98,8 +95,6 @@ def match(local_times: np.ndarray, remote_times: np.ndarray,
         remote_index=ri,
         delta=dl,
         accept_mask=np.abs(dl) <= w.accept_half_width,
-        unmatched_local=int(local_times.size - li.size),
-        unmatched_remote=int(remote_times.size - ri.size),
     )
 
 

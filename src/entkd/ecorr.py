@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, PCG64, SeedSequence
+from numpy.random import default_rng
 
 from .wire import (DecodeError, Message, MsgType, ParitySection, ProtocolError,
                    decode_ec_parity, encode_ec_parity)
@@ -189,7 +189,7 @@ class _Engine:
 
     def __init__(self, role, bits, cluster_id, shared_seed, eta_est):
         self.role = role
-        self.bits = np.array(bits, dtype=np.uint8).copy()
+        self.bits = np.array(bits, dtype=np.uint8)
         if self.bits.ndim != 1 or self.bits.size == 0:
             raise ValueError("bits must be a nonempty 1-d array")
         if self.bits.max(initial=0) > 1:
@@ -199,13 +199,22 @@ class _Engine:
         self.shared_seed = shared_seed
 
         self.block_size = block_schedule(eta_est, self.r)
-        # one entry per pass run so far
-        self.perm: list[np.ndarray] = []
-        self.inv: list[np.ndarray] = []
-        self.pbits: list[np.ndarray] = []
-        self.block_state: list[np.ndarray] = []
-        # reference parities per pass: of every block, and of the left
-        # halves disclosed so far, keyed as in _bisect
+        # one mismatch flag per block of every pass, pass p's from
+        # offset[p] on; perm[p] is pass p's order of the bits (pass 0 the
+        # identity), and flag_of[p, i] the flag of the block holding bit i
+        # in pass p. int32: a batch keeps every cluster's tables at once.
+        self.perm = np.empty((N_PASSES, self.r), dtype=np.int32)
+        self.flag_of = np.empty_like(self.perm)
+        span = np.arange(self.r, dtype=np.int32)
+        self.offset = [0]
+        for p, k in enumerate(self.block_size):
+            self.perm[p] = span if p == 0 else default_rng(
+                (shared_seed, p)).permutation(self.r)
+            self.flag_of[p, self.perm[p]] = span // k + self.offset[p]
+            self.offset.append(self.offset[p] + (self.r + k - 1) // k)
+        self.flags = np.zeros(self.offset[-1], dtype=np.uint8)
+        # reference parities per pass run so far: of every block, and of
+        # the left halves disclosed so far, keyed as in _bisect
         self.block_parity: list[list[int]] = []
         self.known: list[dict[int, int]] = []
 
@@ -251,7 +260,7 @@ class _Engine:
     # -- parity bookkeeping -------------------------------------------
 
     def _subset_positions(self, rnd: int) -> np.ndarray:
-        gen = Generator(PCG64(SeedSequence((self.shared_seed, _BICONF_SALT + rnd))))
+        gen = default_rng((self.shared_seed, _BICONF_SALT + rnd))
         mask = gen.integers(0, 2, size=self.r, dtype=np.uint8)
         # the 0/1 bytes read as bools take numpy's fast nonzero path
         return mask.view(np.bool_).nonzero()[0]
@@ -259,43 +268,40 @@ class _Engine:
     def _apply_flips(self, positions: np.ndarray) -> None:
         """Record located error positions; the correcting side also flips.
 
-        Positions are distinct, so the fancy-index toggles are exact.
+        Positions are distinct, so the fancy-index toggle is exact, and
+        each block of a pass run so far flips its flag once per position
+        it holds.
         """
-        # the stored int32 indices, widened once so no index is cast twice
-        positions = positions.astype(np.intp, copy=False)
-        correcting = self.role == ROLE_CORRECTING
-        if correcting:
+        if self.role == ROLE_CORRECTING:
             self.bits[positions] ^= 1
-        for p, inv in enumerate(self.inv):
-            where = inv[positions].astype(np.intp)
-            if correcting:
-                self.pbits[p][where] ^= 1
-            state = self.block_state[p]
-            state ^= np.bincount(where // self.block_size[p],
-                                 minlength=state.size).astype(np.uint8) & 1
+        held = self.flag_of[:len(self.block_parity), positions]
+        self.flags ^= np.bincount(held.ravel(), minlength=self.flags.size
+                                  ).astype(np.uint8) & 1
         self.errors_found += positions.size
 
     # -- bisection ------------------------------------------------------
 
-    def _bisect(self, own: np.ndarray, known: dict, spans):
-        """Locate one differing position inside each span.
+    def _bisect(self, idx: np.ndarray, known: dict, spans):
+        """Locate one differing bit inside each span.
 
-        own is this side's bits in the spans' coordinates, and spans the
-        disjoint ascending (lo, hi, parity) triples with odd difference
-        parity, parity being the reference parity of own[lo:hi]. Each span
+        idx orders the bits into the spans' coordinates (a pass
+        permutation or a confirmation subset), and spans are the disjoint
+        ascending (lo, hi, parity) triples with odd difference parity,
+        parity being the reference parity of bits[idx[lo:hi]]. Each span
         splits at mid = (lo + hi) // 2. The blocks of a pass are disjoint,
         and within one every split point belongs to exactly one span of its
         bisection tree, so known holds the left-half reference parities
         disclosed so far keyed by split point alone (updated in place).
         Runs level-synchronously: one message pair covers every
         still-active span, and a left-half parity already disclosed is not
-        disclosed again. Returns the located coordinates.
+        disclosed again. Returns the located bit positions.
         """
-        # prefix[x] is the parity of own[start:x] for every x the spans
-        # reach, start being where the first span begins
+        # prefix[x] is the parity of bits[idx[start:x]] for every x the
+        # spans reach, start being where the first span begins
         start = spans[0][0]
         prefix = [0] * (start + 1)
-        prefix += np.bitwise_xor.accumulate(own[start:spans[-1][1]]).tolist()
+        prefix += np.bitwise_xor.accumulate(
+            self.bits[idx[start:spans[-1][1]]]).tolist()
         found = []
         for _ in range(self.r.bit_length() + 1):
             # every span still wider than one bit, and the left-half
@@ -311,7 +317,7 @@ class _Engine:
                     mids.append(mid)
                     vals.append(prefix[mid] ^ prefix[lo])
             if not active:
-                return found
+                return idx[found]
             vals = yield from self._round(ROLE_REFERENCE, R_BISECT_PARITY,
                                           vals)
             known.update(zip(mids, vals))
@@ -331,7 +337,8 @@ class _Engine:
         mismatched blocks in one bisection.
         """
         for _ in range(4 * self.r):
-            for p, state in enumerate(self.block_state):
+            for p in range(len(self.block_parity)):
+                state = self.flags[self.offset[p]:self.offset[p + 1]]
                 if state.any():
                     break
             else:
@@ -340,33 +347,22 @@ class _Engine:
             parity = self.block_parity[p]
             spans = [(b * k, min(b * k + k, self.r), parity[b])
                      for b in np.flatnonzero(state).tolist()]
-            found = yield from self._bisect(self.pbits[p], self.known[p],
+            found = yield from self._bisect(self.perm[p], self.known[p],
                                             spans)
-            self._apply_flips(self.perm[p][found])
+            self._apply_flips(found)
         raise ProtocolError("correction wave did not converge")
 
     # -- protocol phases ------------------------------------------------
 
     def _run_pass(self, p: int):
-        # int32 indices: a batch keeps every cluster's passes alive at once
-        if p == 0:
-            perm = np.arange(self.r, dtype=np.int32)
-        else:
-            gen = Generator(PCG64(SeedSequence((self.shared_seed, p))))
-            perm = gen.permutation(self.r).astype(np.int32)
-        inv = np.empty(self.r, dtype=np.int32)
-        inv[perm] = np.arange(self.r, dtype=np.int32)
-        pbits = self.bits[perm]
         k = self.block_size[p]
-        mine = np.bitwise_xor.reduceat(pbits, np.arange(0, self.r, k)).tolist()
+        mine = np.bitwise_xor.reduceat(self.bits[self.perm[p]],
+                                       np.arange(0, self.r, k)).tolist()
         ref = yield from self._round(ROLE_REFERENCE, R_PASS_BASE + p, mine)
         bitmap = yield from self._round(
             ROLE_CORRECTING, R_BITMAP_BASE + p,
             [a ^ b for a, b in zip(ref, mine)])
-        self.perm.append(perm)
-        self.inv.append(inv)
-        self.pbits.append(pbits)
-        self.block_state.append(np.array(bitmap, dtype=np.uint8))
+        self.flags[self.offset[p]:self.offset[p + 1]] = bitmap
         self.block_parity.append(ref)
         self.known.append({})
         self.pass_summaries.append({
@@ -382,8 +378,7 @@ class _Engine:
         rnd = 0
         while clean < BICONF_TARGET:
             positions = self._subset_positions(rnd)
-            own = self.bits[positions]
-            mine = int(np.bitwise_xor.reduce(own))
+            mine = int(np.bitwise_xor.reduce(self.bits[positions]))
             ref, = yield from self._round(ROLE_REFERENCE, R_BICONF_PARITY,
                                           [mine])
             hit, = yield from self._round(ROLE_CORRECTING, R_BICONF_RESULT,
@@ -391,9 +386,9 @@ class _Engine:
             self.biconf_rounds += 1
             if hit:
                 self.biconf_hits += 1
-                n = positions.size
-                found = yield from self._bisect(own, {}, [(0, n, ref)])
-                self._apply_flips(positions[found])
+                found = yield from self._bisect(
+                    positions, {}, [(0, positions.size, ref)])
+                self._apply_flips(found)
                 yield from self._wave()
                 clean = 0
             else:
@@ -421,8 +416,7 @@ class _Engine:
         yield from self._finish()
         # free the pass state: the batch's other engines may still be in
         # dialogue, and a batch should hold state only for those
-        self.perm, self.inv, self.pbits, self.block_state = [], [], [], []
-        self.block_parity, self.known = [], []
+        del self.perm, self.flag_of, self.flags, self.block_parity, self.known
         summaries = tuple(self.pass_summaries + [{
             "pass": "biconf",
             "rounds": self.biconf_rounds,

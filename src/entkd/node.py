@@ -26,6 +26,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import coinc, tsync, wire
 from .channel import PeerEndpoint
@@ -295,8 +296,7 @@ class MatcherSession(_Station):
         super().__init__(endpoint, stream, cluster_threshold, key_path,
                          metrics_path)
         self.windows = windows
-        self.rng = np.random.default_rng(
-            np.random.SeedSequence((session_seed, 0xA17CE)))
+        self.rng = default_rng((session_seed, 0xA17CE))
         self.model: tsync.ClockModel | None = None
         self._ready: list[Cluster] = []   # closed, awaiting their batch
         self.metrics = MetricsLog(self._emit_metrics)

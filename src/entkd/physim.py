@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .core import (
     TICKS_PER_SECOND,
@@ -48,6 +49,8 @@ class SourceConfig:
     def __post_init__(self):
         if self.pair_rate < 0:
             raise ContractViolation("pair_rate must be >= 0")
+        if not self.duration > 0:
+            raise ContractViolation("duration must be > 0")
         for v in (self.visibility_hv, self.visibility_da):
             if not 0.0 <= v <= 1.0:
                 raise ContractViolation("visibility must lie in [0, 1]")
@@ -70,20 +73,17 @@ class SideConfig:
             raise ContractViolation("efficiency must lie in [0, 1]")
         if self.dark_rate < 0:
             raise ContractViolation("dark_rate must be >= 0")
+        if not self.jitter_sigma >= 0:
+            raise ContractViolation("jitter_sigma must be >= 0")
+        if self.dead_time < 0:
+            raise ContractViolation("dead_time must be >= 0")
         if len(self.detector_delays) != 4:
             raise ContractViolation("need one delay per detector")
 
 
-def _rng(seed: int, salt: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, salt))))
-
-
-def simulate_pairs(cfg: SourceConfig, rng: np.random.Generator | None = None) -> np.ndarray:
+def simulate_pairs(cfg: SourceConfig) -> np.ndarray:
     """Homogeneous Poisson pair emission times in ticks, sorted."""
-    if cfg.duration <= 0:
-        raise ContractViolation("duration must be > 0")
-    if rng is None:
-        rng = _rng(cfg.rng_seed, _SALT_PAIRS)
+    rng = default_rng((cfg.rng_seed, _SALT_PAIRS))
     span = ticks_from_seconds(cfg.duration)
     n = rng.poisson(cfg.pair_rate * cfg.duration)
     times = rng.integers(0, span, size=n, dtype=np.int64)
@@ -214,10 +214,12 @@ def simulate_link(source: SourceConfig, alice: SideConfig | None,
     way: a station that runs one side alone gets the bits of the full link.
     """
     pair_times = simulate_pairs(source)
-    tables_a, tables_b = _outcome_tables(source, pair_times, _rng(source.rng_seed, _SALT_OUTCOMES))
+    tables_a, tables_b = _outcome_tables(
+        source, pair_times, default_rng((source.rng_seed, _SALT_OUTCOMES)))
     return tuple(
         None if side is None else detect_side(
-            pair_times, tables, side, _rng(source.rng_seed, salt), source.duration)
+            pair_times, tables, side, default_rng((source.rng_seed, salt)),
+            source.duration)
         for side, tables, salt in ((alice, tables_a, _SALT_SIDE_A),
                                    (bob, tables_b, _SALT_SIDE_B)))
 

@@ -140,13 +140,14 @@ class TimingPacket:
 
 def dedupe_ticks(stream: EventStream) -> EventStream:
     """Drop events sharing a tick with a predecessor (a tagger emits one
-    timestamp per tick); keeps the first event of each tick."""
+    timestamp per tick); keeps the first event of each tick. A stream
+    with no repeated tick comes back as it is."""
     stream.assert_sorted()
-    if len(stream) == 0:
-        return stream
     keep = np.empty(len(stream), dtype=bool)
-    keep[0] = True
+    keep[:1] = True
     np.greater(np.diff(stream.times), 0, out=keep[1:])
+    if keep.all():
+        return stream
     return EventStream(stream.times[keep], stream.detectors[keep])
 
 

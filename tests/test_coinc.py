@@ -60,7 +60,6 @@ def test_match_simple():
     assert list(res.remote_index) == [0, 1, 2]
     assert list(res.delta) == [5, 30, -10]
     assert list(res.accept_mask) == [True, False, True]
-    assert res.unmatched_local == 0 and res.unmatched_remote == 0
 
 
 def test_match_exclusivity_prefers_closest():
@@ -91,8 +90,8 @@ def test_match_oracle_random():
         got = list(zip(res.local_index.tolist(), res.remote_index.tolist(),
                        res.delta.tolist()))
         assert got == expect, f"trial {trial}"
-        assert res.unmatched_local == n_l - len(expect)
-        assert res.unmatched_remote == n_r - len(expect)
+        # zip above stops at the shorter array; each must hold every pair
+        assert res.local_index.size == res.remote_index.size == len(expect)
         acc = brute_force_accidentals(local, remote, w.accidental_center,
                                       w.accidental_half_width)
         assert count_accidentals(local, remote, w) == acc

@@ -1,8 +1,13 @@
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entkd
 from entkd.core import (COARSE_BIN_TICKS, COARSE_BINS_PER_EPOCH, EPOCH_TICKS,
                         FINE_BIN_TICKS, TICKS_PER_NS, TICKS_PER_SECOND,
                         ContractViolation, EventStream, detector_basis,
@@ -60,3 +65,22 @@ def test_slice_ticks_matches_mask(times, lo, hi):
     lo, hi = min(lo, hi), max(lo, hi)
     sub = s.slice_ticks(lo, hi)
     assert list(sub.times) == [t for t in times if lo <= t < hi]
+
+
+def test_runtime_imports_only_stdlib_and_numpy():
+    """numpy is the only runtime dependency: each module of the package
+    imports the standard library, numpy and the package itself only."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "entkd"}
+    modules = sorted(Path(entkd.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (
+                    f"{path.name} imports {name}")

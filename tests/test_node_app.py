@@ -846,6 +846,15 @@ def test_load_config_and_overrides(tmp_path):
     assert cfg2.seed == 5 and cfg2.duration == 1.25
 
 
+# session values that a station cannot run with, each one a ConfigError
+_BAD_SESSION_VALUES = (
+    "[ecorr]\ncluster_bits = 0\n",
+    "[session]\nduration = 0\n",
+    "[alice]\njitter_sigma = -1\n",
+    "[bob]\ndead_time = -5\n",
+)
+
+
 def test_config_errors(tmp_path):
     with pytest.raises(app.ConfigError):
         app.load_config(tmp_path / "missing.ini")
@@ -865,6 +874,12 @@ def test_config_errors(tmp_path):
     badwin.write_text("[windows]\naccept_half = 40\nservo_half = 30\n")
     with pytest.raises(app.ConfigError):
         app.load_config(badwin)
+    for text in _BAD_SESSION_VALUES:
+        bad.write_text(text)
+        with pytest.raises(app.ConfigError):
+            app.load_config(bad)
+    with pytest.raises(app.ConfigError):
+        app.load_config(_write_ini(tmp_path / "s.ini"), duration=0.0)
 
 
 def test_config_refuses_unknown_sections_and_keys(tmp_path):
@@ -1023,6 +1038,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     ini = _write_ini(tmp_path / "s.ini")
     assert cli.main(["alice", "--config", str(ini),
                      "--peer", "nonsense"]) == cli.EXIT_CONFIG
+    for i, text in enumerate(_BAD_SESSION_VALUES):
+        bad = tmp_path / f"bad{i}.ini"
+        bad.write_text(text)
+        assert cli.main(["loopback", "--config", str(bad)]) == cli.EXIT_CONFIG
+    assert cli.main(["loopback", "--config", str(ini),
+                     "--duration", "0"]) == cli.EXIT_CONFIG
     # connecting to a port nothing listens on is a transport failure
     port = _free_port()
     assert cli.main(["bob", "--config", str(ini),

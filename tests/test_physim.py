@@ -61,7 +61,11 @@ def test_config_validation():
     with pytest.raises(ContractViolation):
         SideConfig(detector_delays=(1, 2, 3))
     with pytest.raises(ContractViolation):
-        simulate_pairs(SourceConfig(pair_rate=10, duration=0.0))
+        SideConfig(jitter_sigma=-1.0)
+    with pytest.raises(ContractViolation):
+        SideConfig(dead_time=-1)
+    with pytest.raises(ContractViolation):
+        SourceConfig(pair_rate=10, duration=0.0)
 
 
 def test_pair_emission_statistics():

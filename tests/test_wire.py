@@ -195,6 +195,10 @@ def test_dedupe_keeps_first():
     d = dedupe_ticks(s)
     assert list(d.times) == [5, 9]
     assert list(d.detectors) == [2, 3]
+    # a stream with no repeated tick is not copied
+    assert dedupe_ticks(d) is d
+    empty = EventStream(np.empty(0, np.int64), np.empty(0, np.uint8))
+    assert dedupe_ticks(empty) is empty
 
 
 def test_packetize_partitions_by_epoch():

@@ -94,12 +94,14 @@ def simulate_with_truth(source, alice, bob):
     stream_a, stream_b = physim.simulate_link(source, alice, bob)
     pair_times = physim.simulate_pairs(source)
     tables_a, tables_b = physim._outcome_tables(
-        source, pair_times, physim._rng(source.rng_seed, physim._SALT_OUTCOMES))
+        source, pair_times,
+        np.random.default_rng((source.rng_seed, physim._SALT_OUTCOMES)))
     sides = []
     for stream, tables, side, salt in ((stream_a, tables_a, alice, physim._SALT_SIDE_A),
                                        (stream_b, tables_b, bob, physim._SALT_SIDE_B)):
         times, dets, *truth = _detect_with_truth(
-            pair_times, tables, side, physim._rng(source.rng_seed, salt), source.duration)
+            pair_times, tables, side,
+            np.random.default_rng((source.rng_seed, salt)), source.duration)
         if not (np.array_equal(times, stream.times)
                 and np.array_equal(dets, stream.detectors)):
             raise AssertionError("truth replay diverged from simulate_link")
