@@ -5,12 +5,12 @@ with blocking send/recv and a typed receive that holds back other types.
 from __future__ import annotations
 
 import socket
-import struct
 import threading
 from collections import deque
 from queue import Empty, SimpleQueue
 
-from .wire import Message, MsgType, ProtocolError, frame, unframe
+from .wire import (FRAME_HEADER_SIZE, Message, MsgType, ProtocolError, frame,
+                   frame_header)
 
 _CLOSE = object()
 DEFAULT_TIMEOUT = 60.0
@@ -48,22 +48,16 @@ class MessageIO:
         return bytes(buf)
 
     def _read_loop(self) -> None:
-        while True:
-            head = self._read_exact(5)
-            if head is None:
-                self._inbox.put(_CLOSE)
-                return
-            _, length = struct.unpack("<BI", head)
-            body = self._read_exact(length) if length else b""
-            if body is None:
-                self._inbox.put(_CLOSE)
-                return
+        while (head := self._read_exact(FRAME_HEADER_SIZE)) is not None:
             try:
-                msg, _ = unframe(head + body)
-            except (ProtocolError, ValueError) as exc:
+                mtype, length = frame_header(head)
+            except ProtocolError as exc:
                 self._inbox.put(exc)
                 return
-            self._inbox.put(msg)
+            if (body := self._read_exact(length)) is None:
+                break
+            self._inbox.put(Message(mtype, body))
+        self._inbox.put(_CLOSE)
 
     def send(self, msg: Message) -> None:
         data = frame(msg)

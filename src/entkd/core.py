@@ -81,8 +81,9 @@ def ticks_from_seconds(seconds: float) -> int:
 class EventStream:
     """A time-ordered detection record: parallel arrays of ticks and detectors.
 
-    Sorted by (time, detector); ties on the same tick are allowed in memory
-    (the wire packetizer is what cannot represent them).
+    Times start at 0 or later and never decrease, and detectors are 0..3;
+    a stream that breaks this cannot be built. Ties on the same tick are
+    allowed in memory (the wire packetizer is what cannot represent them).
     """
 
     times: np.ndarray
@@ -93,19 +94,18 @@ class EventStream:
         self.detectors = np.asarray(self.detectors, dtype=np.uint8)
         if self.times.shape != self.detectors.shape:
             raise ContractViolation("times and detectors length mismatch")
+        # neighbours are compared, not differenced: a difference can wrap
+        if (self.times[:1] < 0).any() or (self.times[1:] < self.times[:-1]).any():
+            raise ContractViolation("event times must start at 0 or later "
+                                    "and never decrease")
+        if self.detectors.max(initial=0) > 3:
+            raise ContractViolation("detector index above 3")
 
     def __len__(self) -> int:
         return int(self.times.size)
 
-    def is_sorted(self) -> bool:
-        return bool(np.all(np.diff(self.times) >= 0))
-
-    def assert_sorted(self) -> None:
-        if not self.is_sorted():
-            raise ContractViolation("event stream not time-ordered")
-
     def slice_ticks(self, lo: int, hi: int) -> "EventStream":
-        """Events with lo <= t < hi (stream must be sorted)."""
+        """Events with lo <= t < hi."""
         a = int(np.searchsorted(self.times, lo, side="left"))
         b = int(np.searchsorted(self.times, hi, side="left"))
         return EventStream(self.times[a:b], self.detectors[a:b])

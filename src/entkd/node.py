@@ -31,7 +31,7 @@ from numpy.random import default_rng
 from . import coinc, tsync, wire
 from .channel import PeerEndpoint
 from .coinc import WindowConfig
-from .core import EPOCH_SECONDS, EPOCH_TICKS, EventStream
+from .core import EPOCH_SECONDS, EventStream
 from .ecorr import (CLUSTER_THRESHOLD, Cluster, ClusterBuilder, EtaEstimator,
                     reconcile_correcting, reconcile_reference)
 from .privamp import EtaDomainError, final_length, key_digest, toeplitz_compress
@@ -40,7 +40,6 @@ from .wire import Message, MsgType, ProtocolError
 
 PROTO_ROLE_MATCHER = 0
 PROTO_ROLE_STREAMER = 1
-LOCK_EPOCHS = 8
 
 KEY_MAGIC = b"ETKY"
 KEY_VERSION = 1
@@ -192,7 +191,6 @@ class _Station:
 
     def __init__(self, endpoint, stream: EventStream, cluster_threshold: int,
                  key_path, metrics_path):
-        stream.assert_sorted()
         self.ep = PeerEndpoint(endpoint)
         self.stream = stream
         self.builder = ClusterBuilder(cluster_threshold)
@@ -312,16 +310,8 @@ class MatcherSession(_Station):
         if not held:
             raise ProtocolError("peer sent no timing data")
         sample = np.concatenate([rtimes for _, rtimes, _ in held])
-        # The coarse search resolves offsets within half an epoch, so only
-        # local events within one epoch of the sample span can be partners.
-        # Trimming keeps the correlation background independent of session
-        # length instead of drowning the peak on long runs.
-        times = self.stream.times
-        lock_lo = np.searchsorted(times, max(0, int(sample[0]) - EPOCH_TICKS))
-        lock_hi = np.searchsorted(times, int(sample[-1]) + EPOCH_TICKS)
         try:
-            self.model = tsync.initial_lock(times[lock_lo:lock_hi], sample,
-                                            max_epochs=LOCK_EPOCHS)
+            self.model = tsync.initial_lock(self.stream.times, sample)
         except NoPeakError as exc:
             raise ProtocolError(f"clock lock failed: {exc}") from exc
 
@@ -374,21 +364,25 @@ class MatcherSession(_Station):
     def _session(self) -> None:
         # The first LOCK_EPOCHS packets (fewer if BYE comes first) are held
         # until they have locked the clocks; every packet is then processed
-        # in arrival order.
+        # in arrival order. Each packet's epoch must follow the last one's,
+        # or its events would be sifted twice.
         held = []   # (epoch, times, basis flags) per packet
-        last_epoch = 0
+        last_epoch = -1
         while True:
             msg = self.ep.recv_type(MsgType.TIMING, MsgType.BYE)
             if msg.type == MsgType.TIMING:
                 pkt = wire.decode_timing(msg.payload)
+                if pkt.epoch <= last_epoch:
+                    raise ProtocolError(f"timing packet for epoch {pkt.epoch} "
+                                        f"after epoch {last_epoch}")
+                last_epoch = pkt.epoch
                 held.append((pkt.epoch, pkt.times(), pkt.basis_flags))
-                if self.model is None and len(held) < LOCK_EPOCHS:
+                if self.model is None and len(held) < tsync.LOCK_EPOCHS:
                     continue
             if self.model is None:
                 self._lock(held)
             for epoch, rtimes, rflags in held:
                 self._process_epoch(epoch, rtimes, rflags)
-                last_epoch = epoch
             held.clear()
             if msg.type == MsgType.BYE:
                 break
@@ -416,16 +410,15 @@ class StreamerSession(_Station):
         super().__init__(endpoint, stream, cluster_threshold, key_path,
                          metrics_path)
         self._pending: dict[int, Cluster] = {}
-        # the detectors of each epoch sent, which the replies sift
+        # the detectors of each epoch sent and not yet answered
         self._detectors: dict[int, np.ndarray] = {}
 
     def _on_coinc_reply(self, msg: Message) -> None:
         epoch, kept = wire.decode_coinc_reply(msg.payload)
-        dets = self._detectors.get(epoch)
+        dets = self._detectors.pop(epoch, None)
         if dets is None:
-            if kept.size:
-                raise ProtocolError(f"reply for unknown epoch {epoch}")
-            return
+            raise ProtocolError(f"reply for epoch {epoch}, not sent or "
+                                "already answered")
         bits = coinc.remote_bits_from_reply(dets, kept)
         self.out.sifted_bits += bits.size
         self.out.epochs += 1

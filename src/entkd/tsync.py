@@ -50,6 +50,8 @@ _FINE_WINDOW = 1024
 _SCAN_LIMIT = 1.3e-6
 _SCAN_STEPS = 27
 _SCAN_BLOCK = 1 << 13
+# remote epochs the lock spans; the matcher holds this many packets for it
+LOCK_EPOCHS = 8
 
 
 class NoPeakError(RuntimeError):
@@ -237,9 +239,8 @@ def _scan_drift(local_times, remote_times, offset: float, reference: float) -> f
     return float(candidates[int(np.argmax(hists.max(axis=1)))])
 
 
-def initial_lock(local_times: np.ndarray, remote_times: np.ndarray,
-                 max_epochs: int = 8) -> ClockModel:
-    """Acquire offset and drift from the first few epochs of both streams.
+def initial_lock(local_times: np.ndarray, remote_times: np.ndarray) -> ClockModel:
+    """Acquire offset and drift from the first LOCK_EPOCHS remote epochs.
 
     Coarse FFT peak on the first two remote epochs, drift-candidate scan
     over the whole lock span, then per-epoch histogram peaks at 64 ns and
@@ -250,10 +251,16 @@ def initial_lock(local_times: np.ndarray, remote_times: np.ndarray,
     remote_times = np.asarray(remote_times, dtype=np.int64)
     if local_times.size == 0 or remote_times.size == 0:
         raise NoPeakError("empty input stream")
+    # The coarse search resolves offsets within half an epoch, so only local
+    # events within one epoch of the remote span can be partners; trimming
+    # keeps the correlation background from drowning the peak on long runs.
+    local_times = local_times[
+        np.searchsorted(local_times, int(remote_times[0]) - EPOCH_TICKS):
+        np.searchsorted(local_times, int(remote_times[-1]) + EPOCH_TICKS)]
 
     first_epoch = int(remote_times[0] >> 32)
     last_epoch = int(remote_times[-1] >> 32)
-    epochs = list(range(first_epoch, min(last_epoch, first_epoch + max_epochs - 1) + 1))
+    epochs = list(range(first_epoch, min(last_epoch, first_epoch + LOCK_EPOCHS - 1) + 1))
     ref = float(first_epoch * EPOCH_TICKS)
     span_hi = (epochs[-1] + 1) * EPOCH_TICKS
     remote_times = remote_times[: np.searchsorted(remote_times, span_hi, side="left")]

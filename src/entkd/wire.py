@@ -72,6 +72,7 @@ class Message:
 
 
 _FRAME = struct.Struct("<BI")
+FRAME_HEADER_SIZE = _FRAME.size
 
 
 def frame(m: Message) -> bytes:
@@ -80,15 +81,21 @@ def frame(m: Message) -> bytes:
     return _FRAME.pack(int(m.type), len(m.payload)) + m.payload
 
 
-def unframe(buf, offset: int = 0) -> tuple[Message, int]:
-    """Parse one frame at offset; returns (message, offset just past it)."""
+def frame_header(buf, offset: int = 0) -> tuple[MsgType, int]:
+    """(type, payload length) from the frame header at offset; an unknown
+    tag is refused before any of the payload is read."""
     if len(buf) - offset < _FRAME.size:
         raise DecodeError("truncated frame header", offset)
     tag, length = _FRAME.unpack_from(buf, offset)
     try:
-        mtype = MsgType(tag)
+        return MsgType(tag), length
     except ValueError:
         raise ProtocolError(f"unknown message tag 0x{tag:02x}") from None
+
+
+def unframe(buf, offset: int = 0) -> tuple[Message, int]:
+    """Parse one frame at offset; returns (message, offset just past it)."""
+    mtype, length = frame_header(buf, offset)
     start = offset + _FRAME.size
     if len(buf) - start < length:
         raise DecodeError("truncated frame payload", start)
@@ -100,7 +107,10 @@ def unframe(buf, offset: int = 0) -> tuple[Message, int]:
 
 @dataclass
 class TimingPacket:
-    """Events of one epoch: absolute first time, positive deltas, basis flags."""
+    """Events of one epoch: absolute first time, positive deltas, basis flags.
+
+    Fields that break this are refused when the packet is built.
+    """
 
     epoch: int
     first_time: int
@@ -110,6 +120,19 @@ class TimingPacket:
     def __post_init__(self):
         self.deltas = np.asarray(self.deltas, dtype=np.int64)
         self.basis_flags = np.asarray(self.basis_flags, dtype=np.uint8)
+        if self.count < 1:
+            raise ContractViolation("timing packet must hold at least one event")
+        if self.deltas.size != self.count - 1:
+            raise ContractViolation("delta count must be event count - 1")
+        if self.deltas.size and int(self.deltas.min()) <= 0:
+            raise ContractViolation("timing deltas must be positive")
+        if int(self.basis_flags.max()) > 1:
+            raise ContractViolation("basis flags must be 0/1")
+        lo = self.epoch * EPOCH_TICKS
+        last = self.first_time + int(self.deltas.sum())
+        # an event stream's ticks stop below 2**63, and so do a packet's
+        if not (0 <= lo <= self.first_time and last < lo + EPOCH_TICKS <= 1 << 63):
+            raise ContractViolation("packet events leave their epoch")
 
     @property
     def count(self) -> int:
@@ -123,26 +146,11 @@ class TimingPacket:
             t[1:] += self.first_time
         return t
 
-    def validate(self) -> None:
-        if self.count < 1:
-            raise ContractViolation("timing packet must hold at least one event")
-        if self.deltas.size != self.count - 1:
-            raise ContractViolation("delta count must be event count - 1")
-        if self.deltas.size and int(self.deltas.min()) <= 0:
-            raise ContractViolation("timing deltas must be positive")
-        if self.basis_flags.size and int(self.basis_flags.max()) > 1:
-            raise ContractViolation("basis flags must be 0/1")
-        lo = self.epoch * EPOCH_TICKS
-        last = self.first_time + (int(self.deltas.sum()) if self.deltas.size else 0)
-        if not (lo <= self.first_time and last < lo + EPOCH_TICKS):
-            raise ContractViolation("packet events leave their epoch")
-
 
 def dedupe_ticks(stream: EventStream) -> EventStream:
     """Drop events sharing a tick with a predecessor (a tagger emits one
     timestamp per tick); keeps the first event of each tick. A stream
     with no repeated tick comes back as it is."""
-    stream.assert_sorted()
     keep = np.empty(len(stream), dtype=bool)
     keep[:1] = True
     np.greater(np.diff(stream.times), 0, out=keep[1:])
@@ -196,7 +204,6 @@ def encode_timing(p: TimingPacket) -> bytes:
     (q zero bits, then a one), then every k-bit remainder (MSB-first), as
     one bit stream zero-padded to a byte, then the basis flags zero-padded
     to a byte."""
-    p.validate()
     k = choose_rice_k(p.deltas)
     values = p.deltas - 1
     q = values >> k
@@ -253,12 +260,10 @@ def decode_timing(b: bytes) -> TimingPacket:
     flags = bits[rice_end:]
     if np.count_nonzero(flags[count:]):
         raise DecodeError("nonzero padding after basis flags", len(b) - 1)
-    pkt = TimingPacket(epoch, first_time, deltas, flags[:count])
     try:
-        pkt.validate()
+        return TimingPacket(epoch, first_time, deltas, flags[:count])
     except ContractViolation as exc:
         raise DecodeError(str(exc), _TIMING_HDR.size) from None
-    return pkt
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,20 @@ def test_message_io_garbage_frame():
         io2.close()
 
 
+def test_message_io_unknown_tag_refused_before_its_body():
+    # the header declares a body that never comes, on a socket left open:
+    # the tag alone is refused, without waiting for the body
+    s1, s2 = socket.socketpair()
+    io2 = MessageIO(s2)
+    try:
+        s1.sendall(b"\x63\xff\xff\xff\xff")
+        with pytest.raises(ProtocolError, match="unknown message tag"):
+            io2.recv(timeout=5.0)
+    finally:
+        s1.close()
+        io2.close()
+
+
 def test_message_io_timeout():
     io1, io2 = _io_pair()
     try:

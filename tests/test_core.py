@@ -39,21 +39,46 @@ def test_detector_convention():
 def test_event_stream_basic():
     s = EventStream([10, 20, 20, 35], [0, 1, 3, 2])
     assert len(s) == 4
-    assert s.is_sorted()
     assert s.times.dtype == np.int64 and s.detectors.dtype == np.uint8
     sub = s.slice_ticks(15, 30)
     assert list(sub.times) == [20, 20]
     assert list(sub.detectors) == [1, 3]
+    assert len(EventStream([], [])) == 0
     with pytest.raises(ContractViolation):
         EventStream([1, 2], [0])
+    with pytest.raises(ContractViolation, match="detector index"):
+        EventStream([1, 2], [3, 4])
 
 
 def test_event_stream_sort_check():
-    s = EventStream(np.array([5, 3], dtype=np.int64),
-                    np.array([0, 0], dtype=np.uint8))
-    assert not s.is_sorted()
-    with pytest.raises(ContractViolation):
-        s.assert_sorted()
+    # a stream whose times decrease or start below 0 cannot be built; the
+    # last one has positive differences once np.diff wraps them
+    for times in ([5, 3], [-1, 4], [5, 24 * 10**9, -2**63 + 5]):
+        with pytest.raises(ContractViolation, match="never decrease"):
+            EventStream(np.array(times, dtype=np.int64),
+                        np.zeros(len(times), dtype=np.uint8))
+
+
+_NEAR_INT64_EDGES = st.one_of(st.integers(-2**63, -2**63 + 2**34),
+                              st.integers(-2**34, 2**34),
+                              st.integers(2**63 - 2**34, 2**63 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_NEAR_INT64_EDGES, max_size=8),
+                 st.lists(_NEAR_INT64_EDGES, max_size=8).map(sorted)),
+       st.lists(st.integers(0, 7), min_size=8, max_size=8))
+def test_event_stream_refuses_what_python_ints_call_invalid(times, dets):
+    # Python's ints do not wrap, so they are the oracle for the int64 check
+    dets = dets[:len(times)]
+    valid = (all(a <= b for a, b in zip(times, times[1:]))
+             and all(t >= 0 for t in times[:1]) and all(d <= 3 for d in dets))
+    t = np.array(times, dtype=np.int64)
+    if valid:
+        assert list(EventStream(t, dets).times) == times
+    else:
+        with pytest.raises(ContractViolation):
+            EventStream(t, dets)
 
 
 @settings(max_examples=50, deadline=None)

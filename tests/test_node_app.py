@@ -3,6 +3,7 @@ import gc
 import hashlib
 import math
 import socket
+import struct
 import threading
 import time
 import warnings
@@ -22,9 +23,9 @@ from entkd.node import (METRICS_HEADER, PROTO_ROLE_MATCHER,
 from entkd.physim import read_stream_dump, simulate_link, write_stream_dump
 from entkd.privamp import final_length
 from entkd.wire import (WIRE_VERSION, Message, MsgType, ProtocolError,
-                        decode_ec_parity, decode_hello, decode_records,
-                        decode_timing, encode_coinc_reply, encode_hello,
-                        encode_records)
+                        decode_coinc_reply, decode_ec_parity, decode_hello,
+                        decode_records, decode_timing, encode_coinc_reply,
+                        encode_hello, encode_records)
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -808,6 +809,44 @@ def test_failed_session_closes_its_files(tmp_path, monkeypatch):
             if issubclass(w.category, ResourceWarning)] == []
 
 
+def _send_twice(monkeypatch, mtype: MsgType, nth: int) -> list:
+    """Make whichever station sends the nth message of mtype send it twice;
+    the returned list gets that message's payload."""
+    sent, repeated = Counter(), []
+    orig_send = MessageIO.send
+
+    def send(self, msg):
+        orig_send(self, msg)
+        sent[msg.type] += 1
+        if msg.type == mtype and sent[mtype] == nth:
+            repeated.append(msg.payload)
+            orig_send(self, msg)
+
+    monkeypatch.setattr(MessageIO, "send", send)
+    return repeated
+
+
+def test_repeated_timing_packet_is_protocol_error(tmp_path, monkeypatch):
+    # sifted twice, its events would count twice as key material
+    repeated = _send_twice(monkeypatch, MsgType.TIMING, 3)
+    cfg = app.load_config(_write_ini(tmp_path / "s.ini"))
+    with pytest.raises(ProtocolError, match="timing packet for epoch") as exc:
+        app.run_loopback(cfg)
+    epoch = decode_timing(repeated[0]).epoch
+    assert f"epoch {epoch} after epoch {epoch}" in str(exc.value)
+
+
+def test_repeated_coincidence_reply_is_protocol_error(tmp_path, monkeypatch):
+    # answered twice, an epoch would make the streamer's clusters longer
+    # than the matcher's
+    repeated = _send_twice(monkeypatch, MsgType.COINC_REPLY, 3)
+    cfg = app.load_config(_write_ini(tmp_path / "s.ini"))
+    with pytest.raises(ProtocolError, match="already answered") as exc:
+        app.run_loopback(cfg)
+    epoch = decode_coinc_reply(repeated[0])[0]
+    assert f"reply for epoch {epoch}," in str(exc.value)
+
+
 def test_unopenable_metrics_file_leaves_no_key_file_open(tmp_path):
     # the key file opens first; when the metrics file then cannot be
     # opened, the station must close the key file before the error leaves
@@ -991,6 +1030,39 @@ def test_build_streams_dump_pairing(tmp_path):
     for kw in ({}, {"alice": False}, {"bob": False}):
         with pytest.raises(app.ConfigError):
             app.build_streams(swapped, **kw)
+
+
+def _write_raw_dump(path, side, times, detectors):
+    """A stream dump written record by record, since no EventStream can
+    hold what these dumps hold."""
+    rec = np.empty(len(times), dtype=[("t", "<u8"), ("d", "u1")])
+    rec["t"], rec["d"] = times, detectors
+    path.write_bytes(struct.pack("<4sHB", b"ETKD", 1, side) + rec.tobytes())
+
+
+def test_bad_stream_dumps_are_config_errors(tmp_path, capsys):
+    stream_a, stream_b = app.build_streams(
+        app.load_config(_write_ini(tmp_path / "sim.ini")))
+    backwards = stream_b.times.astype(np.uint64)
+    backwards[100:200] = backwards[199:99:-1]
+    past_int64 = stream_b.times.astype(np.uint64)
+    past_int64[-1] = (1 << 63) + 5
+    detector_6 = stream_a.detectors.copy()
+    detector_6[len(detector_6) // 2] = 6
+    for name, (times_a, dets_a, times_b) in {
+            "backwards": (stream_a.times, stream_a.detectors, backwards),
+            "past_int64": (stream_a.times, stream_a.detectors, past_int64),
+            "detector_6": (stream_a.times, detector_6, stream_b.times)}.items():
+        dumps = tmp_path / f"{name}_a.etkd", tmp_path / f"{name}_b.etkd"
+        _write_raw_dump(dumps[0], 0, times_a, dets_a)
+        _write_raw_dump(dumps[1], 1, times_b, stream_b.detectors)
+        ini = _write_ini(tmp_path / f"{name}.ini", stream_a=dumps[0],
+                         stream_b=dumps[1])
+        with pytest.raises(app.ConfigError, match="cannot load stream dumps"):
+            app.build_streams(app.load_config(ini))
+        rc = cli.main(["loopback", "--config", str(ini)])
+        assert rc == cli.EXIT_CONFIG, name
+    capsys.readouterr()
 
 
 def test_parse_endpoint():

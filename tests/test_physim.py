@@ -118,7 +118,10 @@ def test_link_truth_consistency():
     side_b = SideConfig(efficiency=0.4, detector_delays=(0, 0, 0, 0),
                         clock_offset=5000)
     sa, sb, truth = simulate_with_truth(src, side_a, side_b)
-    sa.assert_sorted(), sb.assert_sorted()
+    # each stream was checked when built: reversed, it is refused
+    for stream in (sa, sb):
+        with pytest.raises(ContractViolation, match="never decrease"):
+            EventStream(stream.times[::-1], stream.detectors[::-1])
     # ground-truth indices point at events carrying the recorded outcome
     for stream, surv, idx, basis, bit, off in (
             (sa, truth.survived_a, truth.event_index_a, truth.basis_a,

@@ -100,13 +100,29 @@ def test_large_packet_roundtrip():
 
 
 def test_timing_validation():
-    with pytest.raises(Exception):
-        mk_packet(0, 10, [0, 5], [0, 0, 0]).validate()
-    with pytest.raises(Exception):
-        mk_packet(0, 10, [5], [0, 2]).validate()
-    # events may not leak past the epoch boundary
-    with pytest.raises(Exception):
-        mk_packet(0, EPOCH_TICKS - 2, [5], [0, 0]).validate()
+    # a packet that breaks its contract cannot be built
+    with pytest.raises(ContractViolation, match="positive"):
+        mk_packet(0, 10, [0, 5], [0, 0, 0])
+    with pytest.raises(ContractViolation, match="0/1"):
+        mk_packet(0, 10, [5], [0, 2])
+    with pytest.raises(ContractViolation, match="at least one event"):
+        mk_packet(0, 10, [], [])
+    with pytest.raises(ContractViolation, match="event count - 1"):
+        mk_packet(0, 10, [5, 5], [0, 0])
+    # events may not leak past the epoch boundary, nor past the int64 ticks
+    # an event stream holds (epoch 2**31 starts at 2**63)
+    for epoch, first, deltas in ((0, EPOCH_TICKS - 2, [5]), (1, 10, [5]),
+                                 (-1, -5, [1]), (1 << 31, 1 << 63, [1])):
+        with pytest.raises(ContractViolation, match="leave their epoch"):
+            mk_packet(epoch, first, deltas, [0] * (len(deltas) + 1))
+    last = mk_packet((1 << 31) - 1, (1 << 63) - 2, [1], [0, 1])
+    assert list(last.times()) == [(1 << 63) - 2, (1 << 63) - 1]
+    # so a packet in epoch 2**31 is refused by the decoder too
+    blob = bytearray(encode_timing(last))
+    blob[:4] = (1 << 31).to_bytes(4, "little")
+    blob[8:16] = ((1 << 63) + 5).to_bytes(8, "little")
+    with pytest.raises(DecodeError, match="leave their epoch"):
+        decode_timing(bytes(blob))
 
 
 def test_decode_rejects_corruption():
@@ -119,8 +135,11 @@ def test_decode_rejects_corruption():
             q = decode_timing(bytes(mutated))
         except DecodeError:
             continue
-        # surviving mutations must still satisfy the packet contract
-        q.validate()
+        # a surviving mutation is a packet, so its events keep their order
+        # and their epoch
+        t = q.times()
+        assert (t[1:] > t[:-1]).all() and (t >> 32 == q.epoch).all()
+        assert (q.basis_flags <= 1).all()
 
 
 def test_decode_rejects_section_damage():
