@@ -91,13 +91,6 @@ def apply_model(model: ClockModel, times):
     return np.maximum(out, 0.0).astype(np.int64)
 
 
-def _dedrift(times: np.ndarray, drift: float, reference: float) -> np.ndarray:
-    if drift == 0.0:
-        return times
-    t = times.astype(np.float64)
-    return times - np.rint(drift * (t - reference)).astype(np.int64)
-
-
 def _fold_histogram(times: np.ndarray) -> np.ndarray:
     bins = (times % EPOCH_TICKS) >> 14
     return np.bincount(bins, minlength=COARSE_BINS_PER_EPOCH).astype(np.float64)
@@ -126,55 +119,28 @@ def coarse_correlate(local_times: np.ndarray, remote_times: np.ndarray) -> Corre
     return CorrelationResult(significance, float(signed * COARSE_BIN_TICKS))
 
 
-def _delta_histogram(local_times, remote_times, center: float, half_window: int,
-                     bin_ticks: int):
-    """Histogram of (remote - center - local) over +-half_window at bin_ticks."""
-    shifted = np.asarray(remote_times, dtype=np.int64) - int(round(center))
-    _, _, deltas = window_pairs(local_times, shifted, half_window)
-    deltas = deltas[(deltas >= -half_window) & (deltas < half_window)]
+def _residual_peak(residuals: np.ndarray, half_window: int,
+                   bin_ticks: int) -> CorrelationResult:
+    """Peak of the residuals in [-half_window, half_window) at bin_ticks:
+    its height over the Poisson background in sigmas, and the mean residual
+    over it and its neighbor bins. The background leaves out the peak and
+    two bins either side (a real ridge would inflate its own noise), and its
+    noise floor is one count so sparse histograms cannot manufacture
+    significance. NoPeakError when the window is empty or the peak is low.
+    """
+    deltas = residuals[(residuals >= -half_window) & (residuals < half_window)]
     hist = np.bincount((deltas + half_window) // bin_ticks,
                        minlength=(2 * half_window) // bin_ticks)
-    return hist, deltas
-
-
-def _peak_significance(hist: np.ndarray, exclude: int = 2) -> tuple[int, float]:
-    """Peak bin and its height over the Poisson background.
-
-    Background statistics exclude the peak neighborhood (a real ridge would
-    otherwise inflate its own noise estimate), and the noise floor is kept
-    at one count so sparse histograms cannot manufacture significance.
-    """
-    peak = int(np.argmax(hist))
-    mask = np.ones(hist.size, dtype=bool)
-    mask[max(0, peak - exclude) : peak + exclude + 1] = False
-    bg = hist[mask]
-    mean = float(bg.mean()) if bg.size else 0.0
-    sigma = max(1.0, np.sqrt(mean)) if bg.size else 1.0
-    return peak, (float(hist[peak]) - mean) / sigma
-
-
-def fine_correlate(local_times: np.ndarray, remote_times: np.ndarray,
-                   coarse_offset: float, half_window: int = COARSE_BIN_TICKS,
-                   bin_ticks: int = FINE_BIN_TICKS) -> CorrelationResult:
-    """Refine a known coarse offset on the 2 ns grid.
-
-    Builds the pairwise-difference histogram within +-half_window of the
-    coarse estimate; the returned offset adds a centroid over the peak bin
-    and its neighbors, so the combined estimate is good to about a bin.
-    """
-    local_times = np.asarray(local_times, dtype=np.int64)
-    hist, deltas = _delta_histogram(local_times, remote_times,
-                                    coarse_offset, half_window, bin_ticks)
     if not hist.any():
-        raise NoPeakError("no pairs inside fine correlation window")
-    peak, sig = _peak_significance(hist)
+        raise NoPeakError("no pairs inside the window")
+    peak = int(np.argmax(hist))
+    mean = float(np.delete(hist, np.s_[max(0, peak - 2):peak + 3]).mean())
+    sig = (float(hist[peak]) - mean) / max(1.0, np.sqrt(mean))
     if sig < SIGNIFICANCE_THRESHOLD:
-        raise NoPeakError(f"no fine peak (significance {sig:.2f})")
-    lo_edge = (peak - 1) * bin_ticks - half_window
-    hi_edge = (peak + 2) * bin_ticks - half_window
-    near = deltas[(deltas >= lo_edge) & (deltas < hi_edge)]
-    centroid = float(near.mean()) if near.size else float(peak * bin_ticks - half_window)
-    return CorrelationResult(sig, float(coarse_offset) + centroid)
+        raise NoPeakError(f"no peak (significance {sig:.2f})")
+    near = deltas[(deltas >= (peak - 1) * bin_ticks - half_window)
+                  & (deltas < (peak + 2) * bin_ticks - half_window)]
+    return CorrelationResult(sig, float(near.mean()))
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -190,14 +156,49 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(ym - b * xm), b
 
 
-def _drift_histograms(local_times, remote_times, offset: float, reference: float):
-    """Drift candidates and each one's de-drifted residual histogram on the
-    mid-tier grid.
+@dataclass
+class _LockEpoch:
+    """A remote lock epoch's pairs with the local stream, ordered by remote
+    event (counts[i] of them for times[i]): base = remote - shift - local,
+    within +-window. The lock holds every epoch's pairs at once, so both
+    take the narrowest integer type (a window is far below 2**31 ticks).
+    """
 
-    Each remote epoch is paired with the local stream once, inside the mid
-    window widened by the largest correction any candidate makes in that
-    epoch. Every candidate's histogram is then binned from those pairs'
-    de-drifted residuals, so it counts exactly the pairs a search of the mid
+    times: np.ndarray
+    window: int = 0
+    counts: np.ndarray | None = None
+    base: np.ndarray | None = None
+
+    def pair(self, local_times: np.ndarray, shift: int, window: int) -> None:
+        self.window = window
+        r_idx, base = window_pairs(local_times, self.times - shift, window)[1:]
+        counts = np.bincount(r_idx, minlength=self.times.size)
+        self.counts = counts.astype(np.min_scalar_type(counts.max(initial=0)))
+        self.base = base.astype(np.int32)
+
+
+def _pair_epochs(local_times, remote_times, shift: int, reference: float) -> list[_LockEpoch]:
+    """Pair each non-empty remote epoch with the local stream once.
+
+    The window is the mid window widened by the largest correction any
+    drift candidate makes in that epoch, so it holds every pair the drift
+    scan and the mid tier look for.
+    """
+    epochs = []
+    cuts = np.flatnonzero(np.diff(remote_times >> 32)) + 1
+    for chunk in np.split(remote_times, cuts):
+        ep = _LockEpoch(chunk)
+        tau = max(abs(int(chunk[0]) - reference), abs(int(chunk[-1]) - reference))
+        ep.pair(local_times, shift, _MID_WINDOW + math.ceil(_SCAN_LIMIT * tau))
+        epochs.append(ep)
+    return epochs
+
+
+def _drift_histograms(epochs: list[_LockEpoch], reference: float):
+    """Drift candidates and each one's de-drifted residual histogram on the
+    mid-tier grid, pooled over the epochs' pairs.
+
+    Each candidate's histogram counts exactly the pairs a search of the mid
     window at that drift would find. All candidates are binned by one
     bincount over (candidate, bin) per block of _SCAN_BLOCK pairs, which
     keeps the (candidate, pair) array small; each candidate's row has a
@@ -208,15 +209,9 @@ def _drift_histograms(local_times, remote_times, offset: float, reference: float
     row = n_bins + 2
     row_base = (np.arange(_SCAN_STEPS) * row + 1)[:, None]
     counts = np.zeros(_SCAN_STEPS * row, dtype=np.int64)
-    remote_times = np.asarray(remote_times, dtype=np.int64)
-    cuts = np.flatnonzero(np.diff(remote_times >> 32)) + 1
-    for chunk in np.split(remote_times, cuts):
-        tau = chunk.astype(np.float64) - reference
-        widen = math.ceil(_SCAN_LIMIT * float(np.abs(tau).max(initial=0.0)))
-        _, r_idx, base = window_pairs(local_times, chunk - int(round(offset)),
-                                      _MID_WINDOW + widen)
-        tau = tau[r_idx]
-        base += _MID_WINDOW
+    for ep in epochs:
+        tau = (ep.times.astype(np.float64) - reference).repeat(ep.counts)
+        base = ep.base + _MID_WINDOW
         for lo in range(0, base.size, _SCAN_BLOCK):
             # float64 holds these integer residuals exactly, and scaling by
             # a power of two then flooring bins them as integer division would
@@ -232,19 +227,15 @@ def _drift_histograms(local_times, remote_times, offset: float, reference: float
     return candidates, counts.reshape(_SCAN_STEPS, row)[:, 1:-1]
 
 
-def _scan_drift(local_times, remote_times, offset: float, reference: float) -> float:
-    """Pick the drift candidate whose de-drifted residual histogram is sharpest;
-    the first one on a tie."""
-    candidates, hists = _drift_histograms(local_times, remote_times, offset, reference)
-    return float(candidates[int(np.argmax(hists.max(axis=1)))])
-
-
 def initial_lock(local_times: np.ndarray, remote_times: np.ndarray) -> ClockModel:
     """Acquire offset and drift from the first LOCK_EPOCHS remote epochs.
 
     Coarse FFT peak on the first two remote epochs, drift-candidate scan
     over the whole lock span, then per-epoch histogram peaks at 64 ns and
     2 ns bins, each tier ending in a least-squares (offset, drift) fit.
+    Each epoch is paired with the local stream once, around the coarse
+    offset, and the scan and every tier bin those pairs; an epoch is paired
+    again, wider, only if a fitted model moves a tier's window past it.
     The model reference is the first remote epoch seen.
     """
     local_times = np.asarray(local_times, dtype=np.int64)
@@ -260,39 +251,42 @@ def initial_lock(local_times: np.ndarray, remote_times: np.ndarray) -> ClockMode
 
     first_epoch = int(remote_times[0] >> 32)
     last_epoch = int(remote_times[-1] >> 32)
-    epochs = list(range(first_epoch, min(last_epoch, first_epoch + LOCK_EPOCHS - 1) + 1))
+    n_epochs = min(last_epoch - first_epoch + 1, LOCK_EPOCHS)
     ref = float(first_epoch * EPOCH_TICKS)
-    span_hi = (epochs[-1] + 1) * EPOCH_TICKS
+    span_hi = (first_epoch + n_epochs) * EPOCH_TICKS
     remote_times = remote_times[: np.searchsorted(remote_times, span_hi, side="left")]
 
     # tier 1: coarse fold of the first two epochs (drift cannot smear those)
     coarse_cut = int(np.searchsorted(remote_times, (first_epoch + 2) * EPOCH_TICKS, "left"))
-    coarse = coarse_correlate(local_times, remote_times[: max(coarse_cut, 1)])
-    offset = coarse.offset_ticks
+    offset = coarse_correlate(local_times, remote_times[: max(coarse_cut, 1)]).offset_ticks
+    shift = int(round(offset))
+    epochs = _pair_epochs(local_times, remote_times, shift, ref)
 
     # tier 2: drift scan over the full lock span
-    drift = _scan_drift(local_times, remote_times, offset, ref)
+    candidates, hists = _drift_histograms(epochs, ref)
+    drift = float(candidates[int(np.argmax(hists.max(axis=1)))])
 
     # tiers 3..5: per-epoch peaks on shrinking grids, straight-line fit each
     for half, bin_ticks in ((_MID_WINDOW, _MID_BIN_TICKS),
                             (_FINE_WINDOW, FINE_BIN_TICKS),
                             (_FINE_WINDOW, FINE_BIN_TICKS)):
         centers, measured = [], []
-        for e in epochs:
-            lo, hi = e * EPOCH_TICKS, (e + 1) * EPOCH_TICKS
-            a = np.searchsorted(remote_times, lo, side="left")
-            b = np.searchsorted(remote_times, hi, side="left")
-            if b - a < 8:
+        for ep in epochs:
+            if ep.times.size < 8:
                 continue
-            seg = remote_times[a:b]
-            flat = _dedrift(seg, drift, ref)
+            tau = ep.times.astype(np.float64) - ref
+            # the de-drift correction plus the rounded offset's move since pairing
+            moved = np.rint(drift * tau).astype(np.int64) + (int(round(offset)) - shift)
+            need = int(np.abs(moved).max()) + half
+            if need > ep.window:
+                ep.pair(local_times, shift, need)
             try:
-                res = fine_correlate(local_times, flat, offset, half, bin_ticks)
+                res = _residual_peak(ep.base - moved.repeat(ep.counts), half, bin_ticks)
             except NoPeakError:
                 continue
-            centers.append(float(seg.mean()) - ref)
-            measured.append(res.offset_ticks)
-        if len(centers) < max(1, len(epochs) // 2):
+            centers.append(float(ep.times.mean()) - ref)
+            measured.append(offset + res.offset_ticks)
+        if len(centers) < max(1, n_epochs // 2):
             raise NoPeakError("too few epochs produced a usable peak")
         a0, b0 = _fit_line(np.array(centers), np.array(measured))
         offset = a0

@@ -81,25 +81,16 @@ def frame(m: Message) -> bytes:
     return _FRAME.pack(int(m.type), len(m.payload)) + m.payload
 
 
-def frame_header(buf, offset: int = 0) -> tuple[MsgType, int]:
-    """(type, payload length) from the frame header at offset; an unknown
-    tag is refused before any of the payload is read."""
-    if len(buf) - offset < _FRAME.size:
-        raise DecodeError("truncated frame header", offset)
-    tag, length = _FRAME.unpack_from(buf, offset)
+def frame_header(head) -> tuple[MsgType, int]:
+    """(type, payload length) from a frame header; an unknown tag is
+    refused before any of the payload is read."""
+    if len(head) < _FRAME.size:
+        raise DecodeError("truncated frame header", len(head))
+    tag, length = _FRAME.unpack_from(head)
     try:
         return MsgType(tag), length
     except ValueError:
         raise ProtocolError(f"unknown message tag 0x{tag:02x}") from None
-
-
-def unframe(buf, offset: int = 0) -> tuple[Message, int]:
-    """Parse one frame at offset; returns (message, offset just past it)."""
-    mtype, length = frame_header(buf, offset)
-    start = offset + _FRAME.size
-    if len(buf) - start < length:
-        raise DecodeError("truncated frame payload", start)
-    return Message(mtype, bytes(buf[start : start + length])), start + length
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -109,3 +110,41 @@ def test_runtime_imports_only_stdlib_and_numpy():
             for name in names:
                 assert name.split(".")[0] in allowed, (
                     f"{path.name} imports {name}")
+
+
+# public names kept for callers outside the package, as the README documents
+ENTRY_POINTS = ("read_key_file",)
+
+
+def test_every_public_name_is_used_in_the_package():
+    """No API in the package that only the tests call: each public top-level
+    name of a module is referenced somewhere in the package outside its own
+    definition, or is a documented entry point."""
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(entkd.__file__).parent.glob("*.py"))]
+
+    def references(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    uses = Counter(name for tree in trees for name in references(tree))
+    unused = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            inside = list(references(node))
+            unused += [n for n in names if not n.startswith("_")
+                       and n not in ENTRY_POINTS
+                       and uses[n] <= inside.count(n)]
+    assert not unused, f"public names nothing in the package uses: {unused}"

@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entkd.core import EPOCH_TICKS, ContractViolation, EventStream
-from entkd.wire import (RICE_K_MAX, WIRE_VERSION, DecodeError, Message,
-                        MsgType, ParitySection, ProtocolError, TimingPacket,
-                        choose_rice_k,
+from entkd.wire import (FRAME_HEADER_SIZE, RICE_K_MAX, WIRE_VERSION,
+                        DecodeError, Message, MsgType, ParitySection,
+                        ProtocolError, TimingPacket, choose_rice_k,
                         decode_coinc_reply, decode_ec_parity, decode_hello,
                         decode_records, decode_timing, dedupe_ticks,
                         encode_coinc_reply, encode_ec_parity, encode_hello,
-                        encode_records, encode_timing, frame, packetize,
-                        unframe)
+                        encode_records, encode_timing, frame, frame_header,
+                        packetize)
 
 
 def mk_packet(epoch, first, deltas, flags):
@@ -189,23 +189,21 @@ def test_framing_roundtrip():
     blob = b"".join(frame(m) for m in msgs)
     out, pos = [], 0
     while pos < len(blob):
-        m, pos = unframe(blob, pos)
-        out.append(m)
+        mtype, length = frame_header(blob[pos:pos + FRAME_HEADER_SIZE])
+        pos += FRAME_HEADER_SIZE
+        out.append(Message(mtype, blob[pos:pos + length]))
+        pos += length
     assert out == msgs
-    first = frame(msgs[0])
-    one, pos = unframe(first + b"XX")
-    assert one == msgs[0] and pos == len(first)
+    assert frame_header(frame(msgs[0]) + b"XX") == (MsgType.HELLO, 3)
 
 
 def test_framing_errors():
     with pytest.raises(DecodeError):
-        unframe(b"\x01\x05\x00\x00\x00ab")  # declared 5 payload bytes, got 2
-    with pytest.raises(DecodeError):
-        unframe(frame(Message(MsgType.HELLO, b"x"))[:-1])
+        frame_header(b"\x01\x05\x00\x00")  # one header byte short
     with pytest.raises(ProtocolError):
-        unframe(b"\x63\x00\x00\x00\x00")  # unknown tag
+        frame_header(b"\x63\x00\x00\x00\x00")  # unknown tag
     with pytest.raises(ProtocolError, match="0x06"):
-        unframe(b"\x06\x00\x00\x00\x00")  # tag 6 is unassigned
+        frame_header(b"\x06\x00\x00\x00\x00")  # tag 6 is unassigned
 
 
 def test_dedupe_keeps_first():
