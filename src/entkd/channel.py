@@ -25,13 +25,13 @@ class MessageIO:
 
     The reader drains the socket continuously into an unbounded inbox, so
     neither side can wedge on a full kernel buffer no matter how lopsided
-    the traffic is.
+    the traffic is. Sends take no lock: the reader thread never sends, and
+    each station sends from its own thread over its own MessageIO.
     """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._inbox: SimpleQueue = SimpleQueue()
-        self._send_lock = threading.Lock()
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
@@ -61,11 +61,10 @@ class MessageIO:
 
     def send(self, msg: Message) -> None:
         data = frame(msg)
-        with self._send_lock:
-            try:
-                self._sock.sendall(data)
-            except OSError as exc:
-                raise ChannelClosed(f"send failed: {exc}") from None
+        try:
+            self._sock.sendall(data)
+        except OSError as exc:
+            raise ChannelClosed(f"send failed: {exc}") from None
 
     def recv(self, timeout: float = DEFAULT_TIMEOUT) -> Message:
         try:

@@ -128,8 +128,6 @@ class ClusterBuilder:
     """
 
     def __init__(self, threshold: int = CLUSTER_THRESHOLD):
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
         self.threshold = threshold
         self._next_id = 0
         self._chunks: list[np.ndarray] = []
@@ -149,11 +147,6 @@ class ClusterBuilder:
     def flush(self) -> Cluster | None:
         """Emit whatever is buffered as a cluster; None when empty."""
         return self._emit() if self._count else None
-
-    @property
-    def next_id(self) -> int:
-        """Id the next emitted cluster will carry."""
-        return self._next_id
 
     def _emit(self) -> Cluster:
         cluster = Cluster(self._next_id, np.concatenate(self._chunks),
@@ -230,19 +223,16 @@ class _Engine:
         """One round of the dialogue; returns the round's bits.
 
         The round's sender yields its own bits as a section and returns
-        them. The other side yields None, takes the peer's section, checks
-        its cluster, round, length and counted flag against what this side
-        expects, and returns the peer's bits. Both count the bits of a
-        reference round in c.
+        them. The other side yields None, takes the peer's section (whose
+        cluster _frame_sections has matched), checks its round, length and
+        counted flag against what this side expects, and returns the peer's
+        bits. Both count the bits of a reference round in c.
         """
         counted = sender == ROLE_REFERENCE
         if self.role == sender:
             yield ParitySection(self.cluster_id, round_id, counted, bits)
         else:
             sec = yield None
-            if sec.cluster_id != self.cluster_id:
-                raise ProtocolError(
-                    f"cluster id {sec.cluster_id} != {self.cluster_id}")
             if sec.round_id != round_id:
                 raise ProtocolError(
                     f"round {sec.round_id}, expected {round_id}")
@@ -440,11 +430,11 @@ def _lockstep(engines):
     (sent back into it), and returns the reports in batch order. Every
     frame holds the next section of each engine that has one to send.
     Both sides step mirrored engines, so the clusters a side waits on are
-    exactly those the peer's next frame must carry, in batch order.
+    exactly those the peer's next frame must carry, in batch order. The
+    batch is never empty and its ids are distinct: the matcher's come from
+    its ClusterBuilder, the streamer's from a decoded BATCH_SEEDS.
     """
     ids = [eng.cluster_id for eng in engines]
-    if not ids or len(set(ids)) != len(ids):
-        raise ValueError("a batch needs distinct cluster ids")
     steps = [eng.run() for eng in engines]
     queued = [deque() for _ in engines]   # sections not yet sent
     waiting = [False] * len(engines)      # parked on a bare yield
@@ -482,10 +472,8 @@ def _lockstep(engines):
 
 
 def _frame_sections(msg: Message, expect: list[int], batch: list[int]):
-    """The sections of a received frame, one per expected cluster in
+    """The sections of an EC_PARITY frame, one per expected cluster in
     order; a missing, repeated or foreign cluster is a ProtocolError."""
-    if msg.type != MsgType.EC_PARITY:
-        raise ProtocolError(f"expected EC_PARITY, got {msg.type!r}")
     try:
         sections = decode_ec_parity(msg.payload)
     except DecodeError as exc:

@@ -51,6 +51,17 @@ METRICS_HEADER = ("t_s,raw_cps,sifted_cps,secret_cps,qber,"
 METRICS_INTERVAL_S = 10.0
 
 
+def _metrics_row(payload: bytes) -> str:
+    """The CSV row a METRICS payload carries: one line of printable ASCII
+    with the header's fields, or a ProtocolError."""
+    row = payload.decode("latin-1")
+    if not (payload.isascii() and row.isprintable()
+            and row.count(",") == METRICS_HEADER.count(",")):
+        raise ProtocolError(f"metrics payload {payload[:80]!r} is not one "
+                            "row of the header's fields")
+    return row
+
+
 def _interval(epoch: int) -> int:
     """Index of the metrics interval an epoch starts in."""
     return int(epoch * EPOCH_SECONDS // METRICS_INTERVAL_S)
@@ -424,16 +435,18 @@ class StreamerSession(_Station):
         self.out.epochs += 1
         for cluster in self.builder.push(bits, epoch):
             self._pending[cluster.cluster_id] = cluster
+        # Every packet went out before the first reply was read, so once no
+        # reply is awaited the remainder is the matcher's tail cluster, which
+        # it announces only after its last reply. A bounded window of packets
+        # in flight would need another signal for it.
+        if not self._detectors and (tail := self.builder.flush()) is not None:
+            self._pending[tail.cluster_id] = tail
 
     def _on_batch_seeds(self, msg: Message) -> None:
         batch, pa_seeds = [], []
         for cid, seed, pa_seed in wire.decode_records(MsgType.BATCH_SEEDS,
                                                       msg.payload):
             cluster = self._pending.pop(cid, None)
-            if cluster is None and cid == self.builder.next_id:
-                # the matcher's end-of-session cluster: this station's own
-                # remainder, built from the same coincidence replies
-                cluster = self.builder.flush()
             if cluster is None:
                 raise ProtocolError(f"reconciliation for unknown cluster {cid}")
             batch.append((cid, cluster.bits, seed))
@@ -461,7 +474,7 @@ class StreamerSession(_Station):
             elif msg.type == MsgType.BATCH_SEEDS:
                 self._on_batch_seeds(msg)
             elif msg.type == MsgType.METRICS:
-                self._write_row(msg.payload.decode())
+                self._write_row(_metrics_row(msg.payload))
             elif msg.type == MsgType.BYE:
                 break
             else:

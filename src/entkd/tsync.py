@@ -100,12 +100,9 @@ def coarse_correlate(local_times: np.ndarray, remote_times: np.ndarray) -> Corre
     """Circular FFT cross-correlation of epoch-folded streams at 2.048 us bins.
 
     A positive offset means the remote clock is ahead. Raises NoPeakError
-    when the best bin does not stand out of the correlation noise.
+    when the best bin does not stand out of the correlation noise (none, if
+    a side is empty). initial_lock converts and checks its arrays.
     """
-    local_times = np.asarray(local_times, dtype=np.int64)
-    remote_times = np.asarray(remote_times, dtype=np.int64)
-    if local_times.size == 0 or remote_times.size == 0:
-        raise NoPeakError("empty input stream")
     hl = _fold_histogram(local_times)
     hr = _fold_histogram(remote_times)
     corr = np.fft.irfft(np.conj(np.fft.rfft(hl)) * np.fft.rfft(hr), n=COARSE_BINS_PER_EPOCH)
@@ -144,9 +141,7 @@ def _residual_peak(residuals: np.ndarray, half_window: int,
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least squares y = a + b x; returns (a, b)."""
-    if x.size == 1:
-        return float(y[0]), 0.0
+    """Least squares y = a + b x; returns (a, b), b = 0 if x is constant."""
     xm, ym = x.mean(), y.mean()
     dx = x - xm
     denom = float((dx * dx).sum())

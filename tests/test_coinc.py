@@ -44,11 +44,6 @@ def test_window_validation():
         WindowConfig(accidental_center=40, accidental_half_width=15)
 
 
-def test_match_requires_sorted():
-    with pytest.raises(ContractViolation):
-        match(np.array([5, 1], dtype=np.int64), np.array([1], dtype=np.int64))
-
-
 def test_match_simple():
     w = WindowConfig()
     local = np.array([100, 200, 300], dtype=np.int64)
@@ -213,17 +208,6 @@ def test_sift_same_basis_and_order():
     assert list(out.remote_index) == [1, 2, 3]
     assert list(out.bits) == [1, 1, 0]  # det&1 of local dets 1,3,0
     assert out.accepted_raw == 3
-
-
-def test_sift_index_bounds():
-    res = MatchResult(
-        local_index=np.array([5], dtype=np.int64),
-        remote_index=np.array([0], dtype=np.int64),
-        delta=np.array([0], dtype=np.int64),
-        accept_mask=np.array([True]),
-    )
-    with pytest.raises(ContractViolation):
-        sift(res, np.zeros(3, dtype=np.uint8), np.zeros(3, dtype=np.uint8))
 
 
 def test_remote_bits_flip():

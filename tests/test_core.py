@@ -118,8 +118,9 @@ ENTRY_POINTS = ("read_key_file",)
 
 def test_every_public_name_is_used_in_the_package():
     """No API in the package that only the tests call: each public top-level
-    name of a module is referenced somewhere in the package outside its own
-    definition, or is a documented entry point."""
+    name of a module, and each public method or property of its classes, is
+    referenced somewhere in the package outside its own definition, or is a
+    documented entry point."""
     trees = [ast.parse(path.read_text(), str(path))
              for path in sorted(Path(entkd.__file__).parent.glob("*.py"))]
 
@@ -132,19 +133,21 @@ def test_every_public_name_is_used_in_the_package():
             elif isinstance(sub, ast.alias):
                 yield sub.name
 
-    uses = Counter(name for tree in trees for name in references(tree))
-    unused = []
-    for tree in trees:
-        for node in tree.body:
+    def defined(body):
+        """(name, defining node) of each top-level definition in a module
+        body, and of each method or property of its classes."""
+        for node in body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
+                yield node.name, node
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            inside = list(references(node))
-            unused += [n for n in names if not n.startswith("_")
-                       and n not in ENTRY_POINTS
-                       and uses[n] <= inside.count(n)]
+                yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+            if isinstance(node, ast.ClassDef):
+                yield from ((m.name, m) for m in node.body
+                            if isinstance(m, ast.FunctionDef))
+
+    uses = Counter(name for tree in trees for name in references(tree))
+    unused = [name for tree in trees for name, node in defined(tree.body)
+              if not name.startswith("_") and name not in ENTRY_POINTS
+              and uses[name] <= list(references(node)).count(name)]
     assert not unused, f"public names nothing in the package uses: {unused}"

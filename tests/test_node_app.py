@@ -661,33 +661,72 @@ def _start_streamer(io_s, stream, **kwargs):
     return worker, box
 
 
+def _announce_to_streamer(sb, cid, reply_first):
+    """Script a matcher against a StreamerSession: take its packets,
+    answer the first one only (its first 40 events kept) if reply_first,
+    then announce cluster cid in a BATCH_SEEDS. Returns the streamer's
+    error."""
+    peer, io_s = _io_pair()
+    worker, box = _start_streamer(io_s, sb, cluster_threshold=10**6)
+    peer.send(Message(MsgType.HELLO, encode_hello(PROTO_ROLE_MATCHER)))
+    assert decode_hello(peer.recv().payload)[1] == PROTO_ROLE_STREAMER
+    packets = []
+    while (msg := peer.recv()).type == MsgType.TIMING:
+        packets.append(decode_timing(msg.payload))
+    assert msg.type == MsgType.BYE and len(packets) > 1
+    if reply_first:
+        kept = np.arange(min(40, packets[0].count), dtype=np.int64)
+        peer.send(Message(MsgType.COINC_REPLY,
+                          encode_coinc_reply(packets[0].epoch, kept)))
+    peer.send(Message(MsgType.BATCH_SEEDS, encode_records(
+        MsgType.BATCH_SEEDS, [(cid, 12345, 678)])))
+    worker.join(timeout=30)
+    peer.close()
+    io_s.close()
+    assert not worker.is_alive()
+    return box.get("err")
+
+
 def test_streamer_rejects_ec_seed_for_unknown_cluster():
-    # The streamer reconciles a cluster it has not emitted only when the
-    # seed names its builder's next id (the matcher's end-of-session tail)
-    # and that builder holds bits. Any other id is refused.
+    # The streamer reconciles only clusters it has emitted; its tail
+    # is emitted at the reply to its last packet. Any other id is refused.
     _, sb = _small_link(seed=33)
-    for bad_cid, sift in ((1, True), (0, False)):
-        peer, io_s = _io_pair()
-        worker, box = _start_streamer(io_s, sb, cluster_threshold=10**6)
-        peer.send(Message(MsgType.HELLO, encode_hello(PROTO_ROLE_MATCHER)))
-        assert decode_hello(peer.recv().payload)[1] == PROTO_ROLE_STREAMER
-        first = None
-        while (msg := peer.recv()).type == MsgType.TIMING:
-            first = first or decode_timing(msg.payload)
-        assert msg.type == MsgType.BYE
-        if sift:
-            # some sifted bits below the threshold: next id 0 is the tail
-            kept = np.arange(min(40, first.count), dtype=np.int64)
-            peer.send(Message(MsgType.COINC_REPLY,
-                              encode_coinc_reply(first.epoch, kept)))
-        peer.send(Message(MsgType.BATCH_SEEDS, encode_records(
-            MsgType.BATCH_SEEDS, [(bad_cid, 12345, 678)])))
-        worker.join(timeout=30)
-        peer.close()
-        io_s.close()
-        assert not worker.is_alive()
-        assert isinstance(box.get("err"), ProtocolError), (bad_cid, box)
-        assert "unknown cluster" in str(box["err"])
+    for bad_cid, reply_first in ((1, True), (0, False)):
+        err = _announce_to_streamer(sb, bad_cid, reply_first)
+        assert isinstance(err, ProtocolError), (bad_cid, err)
+        assert "unknown cluster" in str(err)
+
+
+def test_streamer_refuses_its_tail_before_the_last_reply():
+    # Some bits sifted below the threshold make cluster 0 the streamer's
+    # next, but packets are still unanswered: the matcher cannot have
+    # closed its tail yet, so an announcement of cluster 0 is refused.
+    _, sb = _small_link(seed=33)
+    err = _announce_to_streamer(sb, 0, reply_first=True)
+    assert isinstance(err, ProtocolError), err
+    assert "unknown cluster 0" in str(err)
+
+
+def test_streamer_refuses_a_malformed_metrics_row(tmp_path):
+    # the streamer writes the matcher's metrics rows as they come: anything
+    # but one printable ASCII row of the header's fields is refused
+    sa, sb = _small_link(seed=32)
+    edits = (lambda row: b"\xff",                           # not ASCII
+             lambda row: row.replace(b",", b"\n,", 1),       # two lines
+             lambda row: row + b",0")                       # an extra field
+    for n, edit in enumerate(edits):
+        d = tmp_path / str(n)
+        d.mkdir()
+
+        def tamper(msg, edit=edit):
+            if msg.type == MsgType.METRICS:
+                return Message(msg.type, edit(msg.payload))
+            return msg
+
+        io_m, io_s = _io_pair()
+        _, _, box = _run_pair(_TamperEndpoint(io_m, tamper), io_s, sa, sb, d)
+        assert isinstance(box.get("err"), ProtocolError), (n, box)
+        assert "metrics payload" in str(box["err"])
 
 
 def test_hello_with_wrong_version_is_refused():
@@ -697,8 +736,8 @@ def test_hello_with_wrong_version_is_refused():
         # a matcher turns away a streamer that speaks another version
         io_m, peer = _io_pair()
         matcher = MatcherSession(io_m, sa)
-        peer.send(Message(MsgType.HELLO, encode_hello(
-            PROTO_ROLE_STREAMER, version=other)))
+        peer.send(Message(MsgType.HELLO, struct.pack(
+            "<HB", other, PROTO_ROLE_STREAMER)))
         with pytest.raises(ProtocolError, match=f"version {other}"):
             matcher.run()
         assert decode_hello(peer.recv().payload)[0] == WIRE_VERSION
@@ -708,8 +747,8 @@ def test_hello_with_wrong_version_is_refused():
         # and a streamer turns away such a matcher before any timing data
         peer, io_s = _io_pair()
         worker, box = _start_streamer(io_s, sb)
-        peer.send(Message(MsgType.HELLO, encode_hello(
-            PROTO_ROLE_MATCHER, version=other)))
+        peer.send(Message(MsgType.HELLO, struct.pack(
+            "<HB", other, PROTO_ROLE_MATCHER)))
         worker.join(timeout=30)
         assert not worker.is_alive()
         assert isinstance(box.get("err"), ProtocolError)

@@ -54,11 +54,18 @@ def test_apply_model_inverts_simulator_clock():
     assert np.abs(back - t).max() <= 1
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.floats(-1e6, 1e6), st.floats(-5e-5, 5e-5), st.integers(0, 50))
-def test_apply_model_monotone(offset, drift, ref):
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-2.0**31, 2.0**31),
+       st.floats(-DRIFT_SANITY, DRIFT_SANITY, exclude_min=True,
+                 exclude_max=True),
+       st.integers(0, 50), st.integers(0, 1 << 17))
+def test_apply_model_monotone(offset, drift, ref, later):
+    # coinc.match takes a packet's mapped times without checking their
+    # order: any drift a ClockModel admits must keep it, for events up to
+    # 2**17 epochs (~19 h) after the reference and on neighbouring ticks
     t = np.sort(np.random.default_rng(0).integers(
-        ref * EPOCH_TICKS, (ref + 4) * EPOCH_TICKS, 500)).astype(np.int64)
+        ref * EPOCH_TICKS, (ref + 4) * EPOCH_TICKS, 500)) + later * EPOCH_TICKS
+    t = np.union1d(t, t + 1)
     out = apply_model(ClockModel(offset, drift, ref), t)
     assert (np.diff(out) >= 0).all()
 

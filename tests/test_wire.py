@@ -244,8 +244,10 @@ def test_coinc_reply_roundtrip():
 
 
 def test_coinc_reply_validation():
-    with pytest.raises(Exception):
-        encode_coinc_reply(0, np.array([3, 3], dtype=np.int64))
+    # the encoder trusts sift's ascending indices; a repeated one is
+    # refused where a reply enters, by the decoder
+    with pytest.raises(DecodeError, match="zero gap"):
+        decode_coinc_reply(encode_coinc_reply(0, np.array([3, 3])))
     blob = encode_coinc_reply(0, np.array([2, 5], dtype=np.int64))
     with pytest.raises(DecodeError):
         decode_coinc_reply(blob[:-1])
@@ -274,8 +276,6 @@ def test_ec_parity_roundtrip():
     assert encode_ec_parity(one) == bytes.fromhex("01000000" "09000000"
                                                   "6f00" "00" "00000000")
     _assert_sections_equal(decode_ec_parity(encode_ec_parity(one)), one)
-    with pytest.raises(ContractViolation):
-        encode_ec_parity([])
 
 
 # two sections: cluster 2, round 110, counted, bits 101; cluster 5,
@@ -351,8 +351,6 @@ def test_seed_decoder_rejections():
         assert len(blob) == 4 + 2 * size
         with pytest.raises(DecodeError, match="no clusters"):
             decode_records(mtype, bytes(4))
-        with pytest.raises(ContractViolation):
-            encode_records(mtype, [])
         with pytest.raises(DecodeError, match="truncated"):
             decode_records(mtype, blob[:2])
         with pytest.raises(DecodeError, match="length mismatch"):
@@ -371,7 +369,7 @@ def test_seed_decoder_rejections():
 
 def test_control_codecs():
     assert decode_hello(encode_hello(1)) == (WIRE_VERSION, 1)
-    assert decode_hello(encode_hello(0, version=3)) == (3, 0)
+    assert decode_hello(b"\x03\x00\x00") == (3, 0)
     seeds = [(7, 2**63 + 5, 2**62 - 1)]
     assert decode_records(MsgType.BATCH_SEEDS,
                           encode_records(MsgType.BATCH_SEEDS, seeds)) == seeds
@@ -389,4 +387,4 @@ def test_hello_golden_bytes():
     assert WIRE_VERSION == 6
     assert encode_hello(0) == b"\x06\x00\x00"
     assert encode_hello(1) == b"\x06\x00\x01"
-    assert encode_hello(1, version=0x0102) == b"\x02\x01\x01"
+    assert decode_hello(b"\x02\x01\x01") == (0x0102, 1)
