@@ -198,9 +198,8 @@ def _station(cfg: SessionConfig, role: int, sock: socket.socket,
                 session_seed=cfg.seed, key_path=cfg.keys_alice,
                 metrics_path=cfg.metrics_alice)
         else:
-            session = StreamerSession(
-                io, stream, cluster_threshold=cfg.cluster_threshold,
-                key_path=cfg.keys_bob, metrics_path=cfg.metrics_bob)
+            session = StreamerSession(io, stream, key_path=cfg.keys_bob,
+                                      metrics_path=cfg.metrics_bob)
         return session.run()
     finally:
         io.close()

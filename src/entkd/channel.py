@@ -109,16 +109,16 @@ class PeerEndpoint:
             return None
         return min(queues, key=lambda q: q[0][0]).popleft()[1]
 
-    def recv(self, timeout: float = DEFAULT_TIMEOUT) -> Message:
+    def recv(self) -> Message:
         msg = self._pop_earliest(self._held)
-        return msg if msg is not None else self._ep.recv(timeout)
+        return msg if msg is not None else self._ep.recv()
 
-    def recv_type(self, *types: MsgType, timeout: float = DEFAULT_TIMEOUT) -> Message:
+    def recv_type(self, *types: MsgType) -> Message:
         msg = self._pop_earliest(types)
         if msg is not None:
             return msg
         while True:
-            msg = self._ep.recv(timeout)
+            msg = self._ep.recv()
             if msg.type in types:
                 return msg
             self._held.setdefault(msg.type, deque()).append(

@@ -58,7 +58,7 @@ def match(local_times: np.ndarray, remote_times: np.ndarray,
     joins at most one pair. Because candidates commit strictly in order of
     closeness, restricting the result to the acceptance window afterwards
     equals running the same pairing inside that window alone. Both inputs
-    come sorted: an EventStream slice, and apply_model of a packet's times.
+    come sorted: EventStream times, and apply_model of a packet's times.
     """
     local_times = np.asarray(local_times, dtype=np.int64)
     remote_times = np.asarray(remote_times, dtype=np.int64)

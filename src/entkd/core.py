@@ -103,9 +103,3 @@ class EventStream:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def slice_ticks(self, lo: int, hi: int) -> "EventStream":
-        """Events with lo <= t < hi."""
-        a = int(np.searchsorted(self.times, lo, side="left"))
-        b = int(np.searchsorted(self.times, hi, side="left"))
-        return EventStream(self.times[a:b], self.detectors[a:b])

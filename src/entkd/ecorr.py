@@ -110,54 +110,6 @@ class EtaEstimator:
 
 
 @dataclass(frozen=True)
-class Cluster:
-    """A contiguous run of sifted bits queued for reconciliation."""
-
-    cluster_id: int
-    bits: np.ndarray
-    last_epoch: int
-
-
-class ClusterBuilder:
-    """Collates sifted bits into clusters of at least a threshold size.
-
-    The whole buffer is emitted the moment it crosses the threshold, so
-    bits beyond the boundary stay in the cluster that crossed it. At
-    session end, flush() emits the sub-threshold remainder as one last,
-    shorter cluster.
-    """
-
-    def __init__(self, threshold: int = CLUSTER_THRESHOLD):
-        self.threshold = threshold
-        self._next_id = 0
-        self._chunks: list[np.ndarray] = []
-        self._count = 0
-        self._last_epoch = -1
-
-    def push(self, bits: np.ndarray, epoch: int = 0) -> list[Cluster]:
-        bits = np.ascontiguousarray(bits, dtype=np.uint8)
-        if bits.size:
-            self._last_epoch = epoch
-            self._chunks.append(bits)
-            self._count += bits.size
-        if self._count >= self.threshold:
-            return [self._emit()]
-        return []
-
-    def flush(self) -> Cluster | None:
-        """Emit whatever is buffered as a cluster; None when empty."""
-        return self._emit() if self._count else None
-
-    def _emit(self) -> Cluster:
-        cluster = Cluster(self._next_id, np.concatenate(self._chunks),
-                          self._last_epoch)
-        self._next_id += 1
-        self._chunks = []
-        self._count = 0
-        return cluster
-
-
-@dataclass(frozen=True)
 class ReconciliationReport:
     cluster_id: int
     r: int
@@ -431,8 +383,8 @@ def _lockstep(engines):
     frame holds the next section of each engine that has one to send.
     Both sides step mirrored engines, so the clusters a side waits on are
     exactly those the peer's next frame must carry, in batch order. The
-    batch is never empty and its ids are distinct: the matcher's come from
-    its ClusterBuilder, the streamer's from a decoded BATCH_SEEDS.
+    batch is never empty and its ids are distinct: both stations number
+    clusters in sequence as they take them off their queue of sifted bits.
     """
     ids = [eng.cluster_id for eng in engines]
     steps = [eng.run() for eng in engines]

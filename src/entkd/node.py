@@ -4,15 +4,18 @@ One station (the streamer) sends its timestamp packets; the other (the
 matcher) locks clocks, finds coincidences, and drives sifting and error
 correction back over the same channel, a connected socket.
 
-Clusters are reconciled in batches, and which clusters form a batch
-depends only on the data: the session's first cluster goes alone, as
-soon as it closes, since the error-rate estimate is still a guess; after
-that, every cluster closed within one metrics interval is reconciled
-together when the epoch clock crosses into the next interval, before
-that epoch is counted, so the outcomes land in the interval's metrics
-row. What is left at the end of the stream, tail included, is the last
-batch. The streamer follows the matcher's batch announcements, which
-carry each cluster's error-correction and compression seeds.
+The matcher alone decides where clusters end: a cluster closes with the
+epoch whose sifted bits bring it to the threshold. Clusters are
+reconciled in batches, and which clusters form a batch depends only on
+the data: the session's first cluster goes alone, as soon as it closes,
+since the error-rate estimate is still a guess; after that, every
+cluster closed within one metrics interval is reconciled together when
+the epoch clock crosses into the next interval, before that epoch is
+counted, so the outcomes land in the interval's metrics row. What is
+left at the end of the stream, a last and shorter cluster included, is
+the last batch. The streamer follows the matcher's batch announcements,
+which carry each cluster's size and its error-correction and
+compression seeds.
 
 After a batch is reconciled, each station works out every cluster's final
 length from its own reconciliation report (the two reports agree), so no
@@ -32,8 +35,8 @@ from . import coinc, tsync, wire
 from .channel import PeerEndpoint
 from .coinc import WindowConfig
 from .core import EPOCH_SECONDS, EventStream
-from .ecorr import (CLUSTER_THRESHOLD, Cluster, ClusterBuilder, EtaEstimator,
-                    reconcile_correcting, reconcile_reference)
+from .ecorr import (CLUSTER_THRESHOLD, EtaEstimator, reconcile_correcting,
+                    reconcile_reference)
 from .privamp import EtaDomainError, final_length, key_digest, toeplitz_compress
 from .tsync import NoPeakError
 from .wire import Message, MsgType, ProtocolError
@@ -188,10 +191,10 @@ class SessionOutcome:
 
 
 class _Station:
-    """What both stations share: the peer, the cluster builder, the
-    error-rate estimate, the key file, the metrics CSV and the outcome;
-    the session's lifecycle; and what each station does with a batch it
-    reconciles.
+    """What both stations share: the peer, the queue of sifted bits and
+    the clusters cut from it, the error-rate estimate, the key file, the
+    metrics CSV and the outcome; the session's lifecycle; and what each
+    station does with a batch it reconciles.
 
     Subclasses set ROLE, PEER_ROLE and NAME, and implement _session.
     """
@@ -200,11 +203,11 @@ class _Station:
     PEER_ROLE: int
     NAME: str
 
-    def __init__(self, endpoint, stream: EventStream, cluster_threshold: int,
-                 key_path, metrics_path):
+    def __init__(self, endpoint, stream: EventStream, key_path, metrics_path):
         self.ep = PeerEndpoint(endpoint)
         self.stream = stream
-        self.builder = ClusterBuilder(cluster_threshold)
+        self._queue: list[np.ndarray] = []   # sifted bits, in epoch order
+        self._next_id = 0                    # of the next cluster taken
         self.eta = EtaEstimator()
         self._key_path = key_path
         self._metrics_path = metrics_path
@@ -244,6 +247,16 @@ class _Station:
         if self._csv:
             self._csv.write(row + "\n")
             self._csv.flush()
+
+    def _take(self, sizes) -> list[tuple[int, np.ndarray]]:
+        """Split the next clusters, of these sizes in bits, off the front of
+        the queue: (cluster id, bits) per cluster. Cluster bits are formed
+        here only, on either station."""
+        parts = np.split(np.concatenate(self._queue), np.cumsum(sizes))
+        self._queue = [parts.pop().copy()]   # a copy frees the batch's bits
+        ids = range(self._next_id, self._next_id + len(sizes))
+        self._next_id += len(sizes)
+        return list(zip(ids, parts))
 
     def _confirm_batch(self, batch) -> list[tuple[int, bool]]:
         """Compress, confirm and store a reconciled batch.
@@ -302,12 +315,16 @@ class MatcherSession(_Station):
                  cluster_threshold: int = CLUSTER_THRESHOLD,
                  session_seed: int = 1,
                  key_path=None, metrics_path=None):
-        super().__init__(endpoint, stream, cluster_threshold, key_path,
-                         metrics_path)
+        super().__init__(endpoint, stream, key_path, metrics_path)
         self.windows = windows
+        self.cluster_threshold = cluster_threshold
         self.rng = default_rng((session_seed, 0xA17CE))
         self.model: tsync.ClockModel | None = None
-        self._ready: list[Cluster] = []   # closed, awaiting their batch
+        self._open = 0   # queued bits not yet in a cluster
+        # the sizes of the clusters closed and awaiting their batch, and the
+        # epoch in which the last of them closed
+        self._ready: list[int] = []
+        self._closed_epoch = -1
         self.metrics = MetricsLog(self._emit_metrics)
 
     def _emit_metrics(self, row: str) -> None:
@@ -328,19 +345,18 @@ class MatcherSession(_Station):
 
     def _process_epoch(self, epoch: int, rtimes: np.ndarray,
                        rflags: np.ndarray) -> None:
-        if self._ready and _interval(epoch) > _interval(
-                self._ready[-1].last_epoch):
+        if self._ready and _interval(epoch) > _interval(self._closed_epoch):
             self._run_batch()
         corrected = tsync.apply_model(self.model, rtimes)
-        lo = int(corrected[0]) - self.windows.servo_half_width
-        hi = int(corrected[-1]) + self.windows.servo_half_width + 1
-        sl = self.stream.slice_ticks(lo, hi)
-        res = coinc.match(sl.times, corrected, self.windows)
-        accidentals = coinc.count_accidentals(sl.times, corrected,
-                                              self.windows)
+        a, b = np.searchsorted(self.stream.times, (
+            int(corrected[0]) - self.windows.servo_half_width,
+            int(corrected[-1]) + self.windows.servo_half_width + 1))
+        ltimes = self.stream.times[a:b]
+        res = coinc.match(ltimes, corrected, self.windows)
+        accidentals = coinc.count_accidentals(ltimes, corrected, self.windows)
         self.model, _ = tsync.servo_update(
             self.model, rtimes[res.remote_index], res.delta)
-        sf = coinc.sift(res, sl.detectors, rflags)
+        sf = coinc.sift(res, self.stream.detectors[a:b], rflags)
         self.ep.send(Message(
             MsgType.COINC_REPLY,
             wire.encode_coinc_reply(epoch, sf.remote_index)))
@@ -348,25 +364,30 @@ class MatcherSession(_Station):
                                sifted=sf.bits.size, accidental=accidentals)
         self.out.epochs += 1
         self.out.sifted_bits += sf.bits.size
-        for cluster in self.builder.push(sf.bits, epoch):
-            self._ready.append(cluster)
-            if cluster.cluster_id == 0:
+        self._queue.append(sf.bits)
+        self._open += sf.bits.size
+        if self._open >= self.cluster_threshold:
+            self._ready.append(self._open)
+            self._open, self._closed_epoch = 0, epoch
+            if self._next_id == 0:
                 self._run_batch()
 
     def _run_batch(self) -> None:
-        batch, self._ready = self._ready, []
+        batch = self._take(self._ready)
+        self._ready = []
         # an EC and a PA seed per cluster, drawn in cluster order
-        seeds = [(c.cluster_id, int(self.rng.integers(1, 1 << 62)),
-                  int(self.rng.integers(1, 1 << 62))) for c in batch]
+        records = [(cid, bits.size, int(self.rng.integers(1, 1 << 62)),
+                    int(self.rng.integers(1, 1 << 62))) for cid, bits in batch]
         self.ep.send(Message(MsgType.BATCH_SEEDS, wire.encode_records(
-            MsgType.BATCH_SEEDS, seeds)))
+            MsgType.BATCH_SEEDS, records)))
         reports = reconcile_reference(
-            [(c.cluster_id, c.bits, ec) for c, (_, ec, _) in zip(batch, seeds)],
+            [(cid, bits, ec)
+             for (cid, bits), (_, _, ec, _) in zip(batch, records)],
             self.eta.value, self.ep.send,
             lambda: self.ep.recv_type(MsgType.EC_PARITY))
         verdicts = self._confirm_batch(
-            [(c.bits, pa, rep)
-             for c, (_, _, pa), rep in zip(batch, seeds, reports)])
+            [(bits, pa, rep) for (_, bits), (_, _, _, pa), rep
+             in zip(batch, records, reports)])
         for report, (secret, mismatched) in zip(reports, verdicts):
             self.metrics.add_cluster(secret, report.eta, mismatched)
 
@@ -400,9 +421,8 @@ class MatcherSession(_Station):
 
         # the sub-threshold remainder is reconciled as a last, shorter
         # cluster, in one batch with whatever else is still waiting
-        tail = self.builder.flush()
-        if tail is not None:
-            self._ready.append(tail)
+        if self._open:
+            self._ready.append(self._open)
         if self._ready:
             self._run_batch()
         self.metrics.close((last_epoch + 1) * EPOCH_SECONDS)
@@ -416,11 +436,8 @@ class StreamerSession(_Station):
     ROLE, PEER_ROLE, NAME = PROTO_ROLE_STREAMER, PROTO_ROLE_MATCHER, "streamer"
 
     def __init__(self, endpoint, stream: EventStream, *,
-                 cluster_threshold: int = CLUSTER_THRESHOLD,
                  key_path=None, metrics_path=None):
-        super().__init__(endpoint, stream, cluster_threshold, key_path,
-                         metrics_path)
-        self._pending: dict[int, Cluster] = {}
+        super().__init__(endpoint, stream, key_path, metrics_path)
         # the detectors of each epoch sent and not yet answered
         self._detectors: dict[int, np.ndarray] = {}
 
@@ -431,31 +448,36 @@ class StreamerSession(_Station):
             raise ProtocolError(f"reply for epoch {epoch}, not sent or "
                                 "already answered")
         bits = coinc.remote_bits_from_reply(dets, kept)
+        self._queue.append(bits)
         self.out.sifted_bits += bits.size
         self.out.epochs += 1
-        for cluster in self.builder.push(bits, epoch):
-            self._pending[cluster.cluster_id] = cluster
-        # Every packet went out before the first reply was read, so once no
-        # reply is awaited the remainder is the matcher's tail cluster, which
-        # it announces only after its last reply. A bounded window of packets
-        # in flight would need another signal for it.
-        if not self._detectors and (tail := self.builder.flush()) is not None:
-            self._pending[tail.cluster_id] = tail
 
     def _on_batch_seeds(self, msg: Message) -> None:
-        batch, pa_seeds = [], []
-        for cid, seed, pa_seed in wire.decode_records(MsgType.BATCH_SEEDS,
-                                                      msg.payload):
-            cluster = self._pending.pop(cid, None)
-            if cluster is None:
-                raise ProtocolError(f"reconciliation for unknown cluster {cid}")
-            batch.append((cid, cluster.bits, seed))
-            pa_seeds.append(pa_seed)
+        # the matcher sizes every cluster; the streamer takes them off its
+        # queue as announced, and refuses what its replies cannot fill
+        records = wire.decode_records(MsgType.BATCH_SEEDS, msg.payload)
+        ids = [cid for cid, *_ in records]
+        sizes = [r for _, r, _, _ in records]
+        want = list(range(self._next_id, self._next_id + len(ids)))
+        if ids != want:
+            raise ProtocolError(f"reconciliation for clusters {ids}, "
+                                f"expected the next ones, {want}")
+        if 0 in sizes:
+            raise ProtocolError(f"an empty cluster in batch {ids} of sizes "
+                                f"{sizes}")
+        queued = sum(b.size for b in self._queue)
+        if sum(sizes) > queued:
+            raise ProtocolError(f"clusters of {sum(sizes)} bits, past the "
+                                f"{queued} sifted bits not yet reconciled")
+        batch = self._take(sizes)
         results = reconcile_correcting(
-            batch, self.eta.value, self.ep.send,
+            [(cid, bits, ec)
+             for (cid, bits), (_, _, ec, _) in zip(batch, records)],
+            self.eta.value, self.ep.send,
             lambda: self.ep.recv_type(MsgType.EC_PARITY))
-        self._confirm_batch([(bits, pa, report) for pa, (bits, report)
-                             in zip(pa_seeds, results)])
+        self._confirm_batch(
+            [(bits, pa, report)
+             for (_, _, _, pa), (bits, report) in zip(records, results)])
 
     def _session(self) -> None:
         deduped = wire.dedupe_ticks(self.stream)

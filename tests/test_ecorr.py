@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from ec_pair import reconcile_batch_pair, reconcile_pair
-from entkd.ecorr import (BICONF_TARGET, MIN_BLOCK, N_PASSES, Cluster,
-                         ClusterBuilder, EtaEstimator, block_schedule,
-                         reconcile_correcting)
+from entkd.ecorr import (BICONF_TARGET, MIN_BLOCK, N_PASSES, EtaEstimator,
+                         block_schedule, reconcile_correcting)
 from entkd.wire import (Message, MsgType, ProtocolError, decode_ec_parity,
                         encode_ec_parity, frame)
 
@@ -41,45 +40,6 @@ def test_eta_estimator():
     assert est2.value == pytest.approx(1e-4)
     with pytest.raises(ValueError):
         est.update(1.5)
-
-
-def test_cluster_builder_basic():
-    b = ClusterBuilder(threshold=100)
-    assert b.push(np.ones(60, dtype=np.uint8), epoch=3) == []
-    out = b.push(np.zeros(70, dtype=np.uint8), epoch=5)
-    assert len(out) == 1
-    c = out[0]
-    assert isinstance(c, Cluster)
-    # the whole buffer is emitted: the chunk that crossed stays intact
-    assert c.cluster_id == 0 and c.last_epoch == 5
-    assert list(c.bits) == [1] * 60 + [0] * 70
-    # nothing is left buffered: the next cluster holds only newer bits
-    out = b.push(np.ones(250, dtype=np.uint8), epoch=9)
-    assert len(out) == 1 and out[0].cluster_id == 1
-    assert out[0].bits.size == 250 and out[0].last_epoch == 9
-
-
-def test_cluster_builder_conservation_and_tail():
-    rng = np.random.default_rng(0)
-    b = ClusterBuilder(threshold=97)
-    fed = []
-    clusters = []
-    for e in range(40):
-        chunk = rng.integers(0, 2, int(rng.integers(0, 50)), dtype=np.uint8)
-        fed.append(chunk)
-        clusters.extend(b.push(chunk, epoch=e))
-    got = np.concatenate([c.bits for c in clusters]) if clusters else \
-        np.empty(0, dtype=np.uint8)
-    all_fed = np.concatenate(fed)
-    # clusters are exactly a prefix of the input; the flushed tail is
-    # the rest, so together they are the whole input, bit for bit
-    assert np.array_equal(got, all_fed[: got.size])
-    tail = b.flush()
-    assert tail.cluster_id == len(clusters)
-    assert 0 < tail.bits.size < 97
-    assert tail.last_epoch == max(e for e, c in enumerate(fed) if c.size)
-    assert np.array_equal(np.concatenate([got, tail.bits]), all_fed)
-    assert b.flush() is None  # nothing left: no empty cluster
 
 
 def _expected_identical_cost(r, eta_est):

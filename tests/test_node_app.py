@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ec_pair import reconcile_pair
-from entkd import app, cli, node
+from entkd import app, cli, coinc, node
 from entkd.channel import MessageIO
 from entkd.core import EPOCH_TICKS, EventStream
 from entkd.node import (METRICS_HEADER, PROTO_ROLE_MATCHER,
@@ -194,24 +194,26 @@ def test_loopback_determinism(tmp_path):
     assert files[0] == files[1]
 
 
-def _count_sent(monkeypatch) -> Counter:
-    """Count the messages both stations send, by type."""
-    sent = Counter()
+def _count_sent(monkeypatch) -> tuple[Counter, Counter]:
+    """Count the messages both stations send, and their payload bytes, by
+    type."""
+    sent, nbytes = Counter(), Counter()
     orig_send = MessageIO.send
 
     def counting_send(self, msg):
         sent[msg.type] += 1
+        nbytes[msg.type] += len(msg.payload)
         return orig_send(self, msg)
 
     monkeypatch.setattr(MessageIO, "send", counting_send)
-    return sent
+    return sent, nbytes
 
 
 def test_loopback_batches_deterministic_and_fewer_round_trips(
         tmp_path, monkeypatch):
     # a noisy link over three metrics intervals: the first cluster goes
     # alone, then one batch per interval, the last one with the tail
-    sent = _count_sent(monkeypatch)
+    sent, _ = _count_sent(monkeypatch)
     batches = {}
 
     def recording(name):
@@ -278,8 +280,23 @@ def test_loopback_batches_deterministic_and_fewer_round_trips(
 NOMINAL_KEYS_SHA256 = (
     "c5282e57b625aab9d4e3f8026f1acb4806c22befb3c420bf50442364d9ace18c")
 
+# (messages, payload bytes) that both stations send, per type, in the same
+# session: a change to a byte format or to the dialogue moves them, and is
+# recorded here with its reason in CHANGES.md, like the digests
+NOMINAL_WIRE = {
+    MsgType.HELLO: (2, 6),
+    MsgType.TIMING: (112, 2_288_001),
+    MsgType.COINC_REPLY: (112, 265_948),
+    MsgType.BATCH_SEEDS: (7, 340),
+    MsgType.EC_PARITY: (6_049, 144_518),
+    MsgType.KEY_HASH: (14, 368),
+    MsgType.METRICS: (6, 275),
+    MsgType.BYE: (3, 0),
+}
 
-def test_nominal_keys_golden(tmp_path):
+
+def test_nominal_keys_golden(tmp_path, monkeypatch):
+    sent, nbytes = _count_sent(monkeypatch)
     cfg = app.load_config(CONFIG_DIR / "nominal_run.ini")
     cfg.keys_alice = str(tmp_path / "a.etky")
     cfg.keys_bob = str(tmp_path / "b.etky")
@@ -288,6 +305,7 @@ def test_nominal_keys_golden(tmp_path):
     for name in ("a.etky", "b.etky"):
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == NOMINAL_KEYS_SHA256, name
+    assert {t: (sent[t], nbytes[t]) for t in sent} == NOMINAL_WIRE
 
 
 # SHA-256 of each station's metrics CSV from configs/nominal_run.ini: the
@@ -306,6 +324,55 @@ def test_nominal_metrics_golden(tmp_path):
     a, b = (tmp_path / "a.csv").read_bytes(), (tmp_path / "b.csv").read_bytes()
     assert a == b
     assert hashlib.sha256(a).hexdigest() == NOMINAL_METRICS_SHA256
+
+
+def test_matcher_cuts_every_cluster_and_the_streamer_follows(
+        tmp_path, monkeypatch):
+    # the matcher closes a cluster with the epoch whose sifted bits bring
+    # it to cluster_bits, and the remainder at the end is a last, shorter
+    # cluster; the streamer reconciles clusters of the same ids and sizes
+    threshold = 1500
+    epochs = []
+    taken = {"reconcile_reference": [], "reconcile_correcting": []}
+    orig_sift = coinc.sift
+
+    def recording_sift(*args):
+        sf = orig_sift(*args)
+        epochs.append(sf.bits.copy())
+        return sf
+
+    monkeypatch.setattr(coinc, "sift", recording_sift)
+    for name in taken:
+        def run(batch, eta_est, send, recv, orig=getattr(node, name),
+                name=name):
+            taken[name] += [(cid, bits.copy()) for cid, bits, _ in batch]
+            return orig(batch, eta_est, send, recv)
+        monkeypatch.setattr(node, name, run)
+
+    cfg = app.load_config(_write_ini(
+        tmp_path / "s.ini", duration=6.0, seed=13, vis_hv=0.9, vis_da=0.9,
+        cluster_bits=threshold))
+    out_m, out_s = app.run_loopback(cfg)
+
+    ref, cor = taken["reconcile_reference"], taken["reconcile_correcting"]
+    sizes = [bits.size for _, bits in ref]
+    assert [cid for cid, _ in ref] == list(range(len(ref))) and len(ref) >= 3
+    assert [(cid, bits.size) for cid, bits in cor] == [
+        (cid, bits.size) for cid, bits in ref]
+    # in order, the clusters hold the matcher's sifted bits, every one
+    assert np.array_equal(np.concatenate([bits for _, bits in ref]),
+                          np.concatenate(epochs))
+    for out in (out_m, out_s):
+        assert [rep.r for rep in out.reports] == sizes
+        assert sum(sizes) == out.sifted_bits
+    # every cluster but the last ends with the epoch that brought it to
+    # the threshold; the last falls short of it
+    ends = np.cumsum([bits.size for bits in epochs])
+    for end, size in zip(np.cumsum(sizes)[:-1], sizes[:-1]):
+        last = [i for i, e in enumerate(ends) if e == end and epochs[i].size]
+        assert len(last) == 1, end
+        assert size - epochs[last[0]].size < threshold <= size
+    assert 0 < sizes[-1] < threshold
 
 
 def test_loopback_noisy_secrecy_ledger(tmp_path):
@@ -382,7 +449,7 @@ def test_disclosed_bits_audited_from_the_wire(tmp_path, monkeypatch):
 def test_loopback_discard_path(tmp_path, monkeypatch):
     # each station decides on its own which clusters to discard; both must
     # reach the same verdicts and the session must still end cleanly
-    sent = _count_sent(monkeypatch)
+    sent, _ = _count_sent(monkeypatch)
     batches = []
     orig_reference = node.reconcile_reference
 
@@ -525,7 +592,7 @@ def _run_pair(matcher_ep, streamer_ep, stream_a, stream_b, tmp_path,
               expect_streamer_error=None):
     matcher = MatcherSession(matcher_ep, stream_a, cluster_threshold=400,
                              key_path=tmp_path / "a.etky")
-    streamer = StreamerSession(streamer_ep, stream_b, cluster_threshold=400,
+    streamer = StreamerSession(streamer_ep, stream_b,
                                key_path=tmp_path / "b.etky")
     box = {}
 
@@ -586,7 +653,8 @@ def test_tampered_pa_seed_mismatches_one_cluster(tmp_path):
 
     def tamper_seed(msg):
         if msg.type == MsgType.BATCH_SEEDS:
-            seeds = [(cid, ec, pa ^ 1 if cid == victim else pa) for cid, ec, pa
+            seeds = [(cid, r, ec, pa ^ 1 if cid == victim else pa)
+                     for cid, r, ec, pa
                      in decode_records(MsgType.BATCH_SEEDS, msg.payload)]
             return Message(msg.type,
                            encode_records(MsgType.BATCH_SEEDS, seeds))
@@ -661,13 +729,13 @@ def _start_streamer(io_s, stream, **kwargs):
     return worker, box
 
 
-def _announce_to_streamer(sb, cid, reply_first):
+def _announce_to_streamer(sb, records, reply_first):
     """Script a matcher against a StreamerSession: take its packets,
-    answer the first one only (its first 40 events kept) if reply_first,
-    then announce cluster cid in a BATCH_SEEDS. Returns the streamer's
-    error."""
+    answer the first one only (its first 40 events kept, 40 sifted bits)
+    if reply_first, then announce the clusters of records, each (cluster
+    id, bits), in a BATCH_SEEDS. Returns the streamer's error."""
     peer, io_s = _io_pair()
-    worker, box = _start_streamer(io_s, sb, cluster_threshold=10**6)
+    worker, box = _start_streamer(io_s, sb)
     peer.send(Message(MsgType.HELLO, encode_hello(PROTO_ROLE_MATCHER)))
     assert decode_hello(peer.recv().payload)[1] == PROTO_ROLE_STREAMER
     packets = []
@@ -675,11 +743,12 @@ def _announce_to_streamer(sb, cid, reply_first):
         packets.append(decode_timing(msg.payload))
     assert msg.type == MsgType.BYE and len(packets) > 1
     if reply_first:
-        kept = np.arange(min(40, packets[0].count), dtype=np.int64)
+        assert packets[0].count >= 40
+        kept = np.arange(40, dtype=np.int64)
         peer.send(Message(MsgType.COINC_REPLY,
                           encode_coinc_reply(packets[0].epoch, kept)))
     peer.send(Message(MsgType.BATCH_SEEDS, encode_records(
-        MsgType.BATCH_SEEDS, [(cid, 12345, 678)])))
+        MsgType.BATCH_SEEDS, [(cid, r, 12345, 678) for cid, r in records])))
     worker.join(timeout=30)
     peer.close()
     io_s.close()
@@ -688,23 +757,30 @@ def _announce_to_streamer(sb, cid, reply_first):
 
 
 def test_streamer_rejects_ec_seed_for_unknown_cluster():
-    # The streamer reconciles only clusters it has emitted; its tail
-    # is emitted at the reply to its last packet. Any other id is refused.
+    # The streamer takes clusters off its queue in order, so a batch must
+    # list its next cluster ids, 0 first here; any other list is refused.
     _, sb = _small_link(seed=33)
-    for bad_cid, reply_first in ((1, True), (0, False)):
-        err = _announce_to_streamer(sb, bad_cid, reply_first)
-        assert isinstance(err, ProtocolError), (bad_cid, err)
-        assert "unknown cluster" in str(err)
+    for records, reply_first in (([(1, 20)], True), ([(5, 20)], False),
+                                 ([(1, 20), (0, 20)], True)):
+        err = _announce_to_streamer(sb, records, reply_first)
+        assert isinstance(err, ProtocolError), (records, err)
+        assert "expected the next ones, [0" in str(err)
 
 
-def test_streamer_refuses_its_tail_before_the_last_reply():
-    # Some bits sifted below the threshold make cluster 0 the streamer's
-    # next, but packets are still unanswered: the matcher cannot have
-    # closed its tail yet, so an announcement of cluster 0 is refused.
+@pytest.mark.parametrize("records, why", [
+    ([(0, 0)], "an empty cluster"),
+    ([(0, 20), (1, 0)], "an empty cluster"),
+    ([(0, 41)], "past the 40 sifted bits"),
+    ([(0, 30), (1, 11)], "past the 40 sifted bits"),
+])
+def test_streamer_refuses_a_cluster_its_replies_cannot_fill(records, why):
+    # the matcher sizes every cluster; the streamer refuses an empty one
+    # (which its reconciliation engine could not run) and one longer than
+    # the bits its replies have delivered
     _, sb = _small_link(seed=33)
-    err = _announce_to_streamer(sb, 0, reply_first=True)
-    assert isinstance(err, ProtocolError), err
-    assert "unknown cluster 0" in str(err)
+    err = _announce_to_streamer(sb, records, reply_first=True)
+    assert isinstance(err, ProtocolError), (records, err)
+    assert why in str(err)
 
 
 def test_streamer_refuses_a_malformed_metrics_row(tmp_path):

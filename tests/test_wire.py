@@ -228,8 +228,8 @@ def test_packetize_partitions_by_epoch():
     rebuilt = np.concatenate([p.times() for p in pkts])
     assert np.array_equal(rebuilt, s.times)
     for p in pkts:
-        seg = s.slice_ticks(p.epoch * EPOCH_TICKS, (p.epoch + 1) * EPOCH_TICKS)
-        assert np.array_equal(p.basis_flags, seg.detectors >> 1)
+        seg = s.times // EPOCH_TICKS == p.epoch
+        assert np.array_equal(p.basis_flags, s.detectors[seg] >> 1)
         assert (p.times() >> 32 == p.epoch).all()
 
 
@@ -296,11 +296,15 @@ def test_golden_ec_parity_bytes():
 
 
 def test_golden_seed_bytes():
-    # BATCH_SEEDS: u32 count, then (u32 cluster, u64 EC seed, u64 PA seed)
-    seeds = [(3, 0x0102030405060708, 0x1112131415161718), (4, 9, 10)]
+    # BATCH_SEEDS: u32 count, then (u32 cluster, u32 bits, u64 EC seed,
+    # u64 PA seed)
+    seeds = [(3, 5000, 0x0102030405060708, 0x1112131415161718),
+             (4, 0x01020304, 9, 10)]
     blob = bytes.fromhex("02000000"
-                         "03000000" "0807060504030201" "1817161514131211"
-                         "04000000" "0900000000000000" "0a00000000000000")
+                         "03000000" "88130000"
+                         "0807060504030201" "1817161514131211"
+                         "04000000" "04030201"
+                         "0900000000000000" "0a00000000000000")
     assert encode_records(MsgType.BATCH_SEEDS, seeds) == blob
     assert decode_records(MsgType.BATCH_SEEDS, blob) == seeds
 
@@ -344,8 +348,8 @@ def test_ec_parity_decoder_rejections():
 
 def test_seed_decoder_rejections():
     # one codec for both cluster lists, with the same checks on each
-    for mtype, records, size in ((MsgType.BATCH_SEEDS, [(3, 7, 8), (4, 9, 1)],
-                                  20),
+    for mtype, records, size in ((MsgType.BATCH_SEEDS,
+                                  [(3, 50, 7, 8), (4, 60, 9, 1)], 24),
                                  (MsgType.KEY_HASH, [(3, 7), (4, 9)], 12)):
         blob = encode_records(mtype, records)
         assert len(blob) == 4 + 2 * size
@@ -370,7 +374,7 @@ def test_seed_decoder_rejections():
 def test_control_codecs():
     assert decode_hello(encode_hello(1)) == (WIRE_VERSION, 1)
     assert decode_hello(b"\x03\x00\x00") == (3, 0)
-    seeds = [(7, 2**63 + 5, 2**62 - 1)]
+    seeds = [(7, 2**32 - 1, 2**63 + 5, 2**62 - 1)]
     assert decode_records(MsgType.BATCH_SEEDS,
                           encode_records(MsgType.BATCH_SEEDS, seeds)) == seeds
     digests = [(8, 2**64 - 1), (2**32 - 1, 0)]
@@ -384,7 +388,7 @@ def test_control_codecs():
 
 def test_hello_golden_bytes():
     # (u16 version, u8 role), little-endian
-    assert WIRE_VERSION == 6
-    assert encode_hello(0) == b"\x06\x00\x00"
-    assert encode_hello(1) == b"\x06\x00\x01"
+    assert WIRE_VERSION == 7
+    assert encode_hello(0) == b"\x07\x00\x00"
+    assert encode_hello(1) == b"\x07\x00\x01"
     assert decode_hello(b"\x02\x01\x01") == (0x0102, 1)
