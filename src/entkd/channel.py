@@ -1,5 +1,5 @@
 """Message transport: framed wire.Message objects over a connected socket,
-with blocking send/recv and a typed receive that holds back other types.
+with blocking send/recv and a typed receive that holds back early types.
 """
 
 from __future__ import annotations
@@ -86,41 +86,37 @@ class MessageIO:
 
 
 class PeerEndpoint:
-    """Typed receive with order-preserving holdback.
-
-    recv_type pulls the next message of a wanted type while parking
-    everything else, one queue per type, each message tagged with its
-    arrival number; plain recv replays the earliest parked message first,
-    so the arrival order is never disturbed. Both cost the same however
-    many messages are parked.
+    """Typed receive. A message of a type the caller did not ask for waits
+    in one queue if the station expects its type early, and is a
+    ProtocolError if not. Held messages leave in arrival order: to recv,
+    or to a recv_type that asks for the type of the oldest.
     """
 
-    def __init__(self, endpoint):
+    def __init__(self, endpoint, early: tuple[MsgType, ...] = ()):
         self._ep = endpoint
-        self._held: dict[MsgType, deque] = {}   # type -> (arrival, message)
-        self._arrivals = 0
+        self._early = early
+        self._held: deque[Message] = deque()
 
     def send(self, msg: Message) -> None:
         self._ep.send(msg)
 
-    def _pop_earliest(self, types) -> Message | None:
-        queues = [q for t in types if (q := self._held.get(t))]
-        if not queues:
-            return None
-        return min(queues, key=lambda q: q[0][0]).popleft()[1]
-
     def recv(self) -> Message:
-        msg = self._pop_earliest(self._held)
-        return msg if msg is not None else self._ep.recv()
+        return self._held.popleft() if self._held else self._ep.recv()
 
     def recv_type(self, *types: MsgType) -> Message:
-        msg = self._pop_earliest(types)
-        if msg is not None:
-            return msg
-        while True:
-            msg = self._ep.recv()
-            if msg.type in types:
-                return msg
-            self._held.setdefault(msg.type, deque()).append(
-                (self._arrivals, msg))
-            self._arrivals += 1
+        if self._held and self._held[0].type in types:
+            return self._held.popleft()
+        while (msg := self._ep.recv()).type not in types:
+            if msg.type not in self._early:
+                raise ProtocolError(
+                    f"unexpected {msg.type.name}, expected "
+                    f"{' or '.join(t.name for t in types)}")
+            self._held.append(msg)
+        return msg
+
+    def end_early(self) -> None:
+        """Hold nothing back from now on, and refuse what is held."""
+        self._early = ()
+        if self._held:
+            raise ProtocolError(f"unexpected {self._held[0].type.name} after "
+                                "the last message the peer may send early")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .wire import (DecodeError, Message, MsgType, ParitySection, ProtocolError,
+from .wire import (Message, MsgType, ParitySection, ProtocolError,
                    decode_ec_parity, encode_ec_parity)
 
 N_PASSES = 6
@@ -425,11 +425,8 @@ def _lockstep(engines):
 
 def _frame_sections(msg: Message, expect: list[int], batch: list[int]):
     """The sections of an EC_PARITY frame, one per expected cluster in
-    order; a missing, repeated or foreign cluster is a ProtocolError."""
-    try:
-        sections = decode_ec_parity(msg.payload)
-    except DecodeError as exc:
-        raise ProtocolError(f"bad parity frame: {exc}") from None
+    order; a missing, foreign or misplaced cluster is a ProtocolError."""
+    sections = decode_ec_parity(msg.payload)
     got = [sec.cluster_id for sec in sections]
     if got != expect:
         for cid in got:
@@ -462,23 +459,23 @@ def _drive(steps, send, recv):
         return stop.value
 
 
-def _engines(role, batch, eta_est):
-    return [_Engine(role, bits, cid, seed, eta_est) for cid, bits, seed in batch]
-
-
-def reconcile_reference(batch, eta_est, send,
-                        recv) -> list[ReconciliationReport]:
-    """Run the parity-source side of a batch of (cluster id, bits, shared
-    seed) triples; its bits are never modified. Returns the reports in
-    batch order."""
-    return _drive(_lockstep(_engines(ROLE_REFERENCE, batch, eta_est)),
-                  send, recv)
-
-
-def reconcile_correcting(batch, eta_est, send,
-                         recv) -> list[tuple[np.ndarray, ReconciliationReport]]:
-    """Run the correcting side of a batch of (cluster id, bits, shared
-    seed) triples. Returns (corrected bits, report) in batch order."""
-    engines = _engines(ROLE_CORRECTING, batch, eta_est)
+def _reconcile(role, batch, eta_est, send, recv):
+    engines = [_Engine(role, bits, cid, seed, eta_est)
+               for cid, bits, seed in batch]
     reports = _drive(_lockstep(engines), send, recv)
     return [(eng.bits, rep) for eng, rep in zip(engines, reports)]
+
+
+def reconcile_reference(batch, eta_est, send, recv
+                        ) -> list[tuple[np.ndarray, ReconciliationReport]]:
+    """Run the parity-source side of a batch of (cluster id, bits, shared
+    seed) triples. Returns (bits, report) in batch order; the bits are
+    never modified."""
+    return _reconcile(ROLE_REFERENCE, batch, eta_est, send, recv)
+
+
+def reconcile_correcting(batch, eta_est, send, recv
+                         ) -> list[tuple[np.ndarray, ReconciliationReport]]:
+    """Run the correcting side of a batch of (cluster id, bits, shared
+    seed) triples. Returns (corrected bits, report) in batch order."""
+    return _reconcile(ROLE_CORRECTING, batch, eta_est, send, recv)

@@ -196,15 +196,18 @@ class _Station:
     metrics CSV and the outcome; the session's lifecycle; and what each
     station does with a batch it reconciles.
 
-    Subclasses set ROLE, PEER_ROLE and NAME, and implement _session.
+    Subclasses set ROLE, PEER_ROLE and NAME, the peer's message types that
+    may arrive before this station asks for them (EARLY), and implement
+    _session.
     """
 
     ROLE: int
     PEER_ROLE: int
     NAME: str
+    EARLY: tuple[MsgType, ...]
 
     def __init__(self, endpoint, stream: EventStream, key_path, metrics_path):
-        self.ep = PeerEndpoint(endpoint)
+        self.ep = PeerEndpoint(endpoint, self.EARLY)
         self.stream = stream
         self._queue: list[np.ndarray] = []   # sifted bits, in epoch order
         self._next_id = 0                    # of the next cluster taken
@@ -248,28 +251,30 @@ class _Station:
             self._csv.write(row + "\n")
             self._csv.flush()
 
-    def _take(self, sizes) -> list[tuple[int, np.ndarray]]:
-        """Split the next clusters, of these sizes in bits, off the front of
-        the queue: (cluster id, bits) per cluster. Cluster bits are formed
-        here only, on either station."""
-        parts = np.split(np.concatenate(self._queue), np.cumsum(sizes))
-        self._queue = [parts.pop().copy()]   # a copy frees the batch's bits
-        ids = range(self._next_id, self._next_id + len(sizes))
-        self._next_id += len(sizes)
-        return list(zip(ids, parts))
+    def _reconcile_batch(self, records, reconcile) -> list[tuple]:
+        """Reconcile, compress, confirm and store one batch.
 
-    def _confirm_batch(self, batch) -> list[tuple[int, bool]]:
-        """Compress, confirm and store a reconciled batch.
-
-        batch holds (bits, PA seed, report) per cluster in batch order.
-        Each cluster's final length comes from this station's own report;
-        the kept clusters' digests go to the peer in one KEY_HASH, whose
-        reply must list the same clusters in the same order. Returns
-        (secret bits, mismatched) per cluster: (0, False) when discarded.
+        records are the batch's BATCH_SEEDS records, (cluster id, size in
+        bits, EC seed, PA seed) per cluster, ids in sequence from _next_id;
+        their clusters are split off the front of the queue, so cluster
+        bits are formed here only, on either station. reconcile runs this
+        station's side of the dialogue. Each cluster's final length comes
+        from this station's own report; the kept clusters' digests go to
+        the peer in one KEY_HASH, whose reply must list the same clusters
+        in the same order. Returns (report, secret bits, mismatched) per
+        cluster, with 0 secret bits when discarded or mismatched.
         """
-        verdicts = [(0, False)] * len(batch)
-        kept = []   # (index in batch, cluster id, key, digest)
-        for i, (bits, seed, report) in enumerate(batch):
+        parts = np.split(np.concatenate(self._queue),
+                         np.cumsum([r for _, r, _, _ in records]))
+        self._queue = [parts.pop().copy()]   # a copy frees the batch's bits
+        self._next_id += len(records)
+        results = reconcile(
+            [(cid, bits, ec) for (cid, _, ec, _), bits in zip(records, parts)],
+            self.eta.value, self.ep.send,
+            lambda: self.ep.recv_type(MsgType.EC_PARITY))
+        kept = []        # (cluster id, key, digest)
+        confirmed = {}   # cluster id -> (secret bits, mismatched)
+        for (cid, _, _, pa), (bits, report) in zip(records, results):
             self.eta.update(report.eta)
             self.out.reports.append(report)
             try:
@@ -279,36 +284,38 @@ class _Station:
             if m is None:
                 self.out.clusters_discarded += 1
                 continue
-            key = toeplitz_compress(bits, seed, m)
-            kept.append((i, report.cluster_id, key, key_digest(m, key)))
-        if not kept:
-            return verdicts
-        self.ep.send(Message(MsgType.KEY_HASH, wire.encode_records(
-            MsgType.KEY_HASH, [(cid, digest) for _, cid, _, digest in kept])))
-        theirs = wire.decode_records(
-            MsgType.KEY_HASH, self.ep.recv_type(MsgType.KEY_HASH).payload)
-        got = [cid for cid, _ in theirs]
-        want = [cid for _, cid, _, _ in kept]
-        if got != want:
-            raise ProtocolError(f"key digests for clusters {got}, "
-                                f"expected {want}")
-        for (i, cid, key, digest), (_, peer_digest) in zip(kept, theirs):
-            if peer_digest != digest:
-                self.out.clusters_mismatched += 1
-                verdicts[i] = (0, True)
-                continue
-            if self.keys:
-                self.keys.append(cid, key)
-            self.out.secret_bits += key.size
-            self.out.clusters_ok += 1
-            verdicts[i] = (key.size, False)
-        return verdicts
+            key = toeplitz_compress(bits, pa, m)
+            kept.append((cid, key, key_digest(m, key)))
+        if kept:
+            self.ep.send(Message(MsgType.KEY_HASH, wire.encode_records(
+                MsgType.KEY_HASH, [(cid, digest) for cid, _, digest in kept])))
+            theirs = wire.decode_records(
+                MsgType.KEY_HASH, self.ep.recv_type(MsgType.KEY_HASH).payload)
+            got = [cid for cid, _ in theirs]
+            want = [cid for cid, _, _ in kept]
+            if got != want:
+                raise ProtocolError(f"key digests for clusters {got}, "
+                                    f"expected {want}")
+            for (cid, key, digest), (_, peer_digest) in zip(kept, theirs):
+                if peer_digest != digest:
+                    self.out.clusters_mismatched += 1
+                    confirmed[cid] = (0, True)
+                    continue
+                if self.keys:
+                    self.keys.append(cid, key)
+                self.out.secret_bits += key.size
+                self.out.clusters_ok += 1
+                confirmed[cid] = (key.size, False)
+        return [(report, *confirmed.get(report.cluster_id, (0, False)))
+                for _, report in results]
 
 
 class MatcherSession(_Station):
     """The station that receives timing packets and drives the pipeline."""
 
     ROLE, PEER_ROLE, NAME = PROTO_ROLE_MATCHER, PROTO_ROLE_STREAMER, "matcher"
+    # the streamer sends every packet, then BYE, without waiting for replies
+    EARLY = (MsgType.TIMING, MsgType.BYE)
 
     def __init__(self, endpoint, stream: EventStream, *,
                  windows: WindowConfig = WindowConfig(),
@@ -373,22 +380,15 @@ class MatcherSession(_Station):
                 self._run_batch()
 
     def _run_batch(self) -> None:
-        batch = self._take(self._ready)
-        self._ready = []
         # an EC and a PA seed per cluster, drawn in cluster order
-        records = [(cid, bits.size, int(self.rng.integers(1, 1 << 62)),
-                    int(self.rng.integers(1, 1 << 62))) for cid, bits in batch]
+        records = [(cid, size, int(self.rng.integers(1, 1 << 62)),
+                    int(self.rng.integers(1, 1 << 62)))
+                   for cid, size in enumerate(self._ready, self._next_id)]
+        self._ready = []
         self.ep.send(Message(MsgType.BATCH_SEEDS, wire.encode_records(
             MsgType.BATCH_SEEDS, records)))
-        reports = reconcile_reference(
-            [(cid, bits, ec)
-             for (cid, bits), (_, _, ec, _) in zip(batch, records)],
-            self.eta.value, self.ep.send,
-            lambda: self.ep.recv_type(MsgType.EC_PARITY))
-        verdicts = self._confirm_batch(
-            [(bits, pa, rep) for (_, bits), (_, _, _, pa), rep
-             in zip(batch, records, reports)])
-        for report, (secret, mismatched) in zip(reports, verdicts):
+        for report, secret, mismatched in self._reconcile_batch(
+                records, reconcile_reference):
             self.metrics.add_cluster(secret, report.eta, mismatched)
 
     # -- session ------------------------------------------------------
@@ -418,6 +418,7 @@ class MatcherSession(_Station):
             held.clear()
             if msg.type == MsgType.BYE:
                 break
+        self.ep.end_early()   # nothing comes early after BYE
 
         # the sub-threshold remainder is reconciled as a last, shorter
         # cluster, in one batch with whatever else is still waiting
@@ -434,6 +435,7 @@ class StreamerSession(_Station):
     """The station that sends timing packets and answers the pipeline."""
 
     ROLE, PEER_ROLE, NAME = PROTO_ROLE_STREAMER, PROTO_ROLE_MATCHER, "streamer"
+    EARLY = ()
 
     def __init__(self, endpoint, stream: EventStream, *,
                  key_path=None, metrics_path=None):
@@ -469,15 +471,7 @@ class StreamerSession(_Station):
         if sum(sizes) > queued:
             raise ProtocolError(f"clusters of {sum(sizes)} bits, past the "
                                 f"{queued} sifted bits not yet reconciled")
-        batch = self._take(sizes)
-        results = reconcile_correcting(
-            [(cid, bits, ec)
-             for (cid, bits), (_, _, ec, _) in zip(batch, records)],
-            self.eta.value, self.ep.send,
-            lambda: self.ep.recv_type(MsgType.EC_PARITY))
-        self._confirm_batch(
-            [(bits, pa, report)
-             for (_, _, _, pa), (bits, report) in zip(records, results)])
+        self._reconcile_batch(records, reconcile_correcting)
 
     def _session(self) -> None:
         deduped = wire.dedupe_ticks(self.stream)
@@ -500,6 +494,6 @@ class StreamerSession(_Station):
             elif msg.type == MsgType.BYE:
                 break
             else:
-                raise ProtocolError(f"unexpected message {msg.type!r}")
+                raise ProtocolError(f"unexpected {msg.type.name}")
 
         self.ep.send(Message(MsgType.BYE, b""))

@@ -13,8 +13,12 @@ from __future__ import annotations
 from collections import deque
 
 from entkd.ecorr import (DEFAULT_ETA, ROLE_CORRECTING, ROLE_REFERENCE,
-                         _engines, _lockstep)
+                         _Engine, _lockstep)
 from entkd.wire import ProtocolError
+
+
+def _engines(role, batch, eta_est):
+    return [_Engine(role, bits, cid, seed, eta_est) for cid, bits, seed in batch]
 
 
 def reconcile_batch_pair(batch_ref, batch_cor, eta_est=DEFAULT_ETA,

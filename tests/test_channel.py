@@ -15,16 +15,18 @@ def _io_pair():
 def test_peer_endpoint_holdback_order():
     io1, io2 = _io_pair()
     try:
-        peer = PeerEndpoint(io2)
-        io1.send(Message(MsgType.TIMING, b"t1"))
-        io1.send(Message(MsgType.EC_PARITY, b"p1"))
-        io1.send(Message(MsgType.TIMING, b"t2"))
-        io1.send(Message(MsgType.EC_PARITY, b"p2"))
-        # typed receive skips over the timing traffic without reordering it
+        peer = PeerEndpoint(io2, early=(MsgType.TIMING, MsgType.BYE))
+        for mtype, payload in ((MsgType.TIMING, b"t1"),
+                               (MsgType.EC_PARITY, b"p1"),
+                               (MsgType.TIMING, b"t2"),
+                               (MsgType.EC_PARITY, b"p2"),
+                               (MsgType.TIMING, b"t3"), (MsgType.BYE, b"")):
+            io1.send(Message(mtype, payload))
+        # typed receive holds the early traffic back without reordering it
         assert peer.recv_type(MsgType.EC_PARITY).payload == b"p1"
         assert peer.recv_type(MsgType.EC_PARITY).payload == b"p2"
-        assert peer.recv().payload == b"t1"
-        assert peer.recv().payload == b"t2"
+        assert [peer.recv_type(MsgType.TIMING, MsgType.BYE).payload
+                for _ in range(4)] == [b"t1", b"t2", b"t3", b""]
     finally:
         io1.close()
         io2.close()
@@ -33,42 +35,62 @@ def test_peer_endpoint_holdback_order():
 def test_peer_endpoint_mixed_recv():
     io1, io2 = _io_pair()
     try:
-        peer = PeerEndpoint(io2)
+        peer = PeerEndpoint(io2, early=(MsgType.TIMING,))
         io1.send(Message(MsgType.TIMING, b"t1"))
         io1.send(Message(MsgType.BYE))
-        # plain recv drains in arrival order even after a typed pull
-        # parked t1
+        io1.send(Message(MsgType.TIMING, b"t2"))
+        # plain recv takes what a typed pull held back first
         assert peer.recv_type(MsgType.BYE).type == MsgType.BYE
         assert peer.recv().payload == b"t1"
+        assert peer.recv().payload == b"t2"
     finally:
         io1.close()
         io2.close()
 
 
 def test_peer_endpoint_holdback_interleaved_types():
-    # three types interleaved: typed pulls follow each type's own order,
-    # and plain recv replays what is parked in arrival order
+    # two early types interleaved with wanted ones: each pull takes the
+    # next wanted message, and the held ones come back in arrival order
     io1, io2 = _io_pair()
     try:
-        peer = PeerEndpoint(io2)
-        types = (MsgType.TIMING, MsgType.COINC_REPLY, MsgType.METRICS)
+        early = (MsgType.TIMING, MsgType.COINC_REPLY)
+        peer = PeerEndpoint(io2, early=early)
+        types = early + (MsgType.METRICS,)
         sent = [Message(types[i % 3 if i < 12 else (i * 7) % 3],
                         f"m{i}".encode()) for i in range(30)]
         for msg in sent:
             io1.send(msg)
-        io1.send(Message(MsgType.BYE))
-        # pull every COINC_REPLY, then one METRICS, parking the rest
-        replies = [m for m in sent if m.type == MsgType.COINC_REPLY]
-        for want in replies:
-            assert peer.recv_type(MsgType.COINC_REPLY) == want
-        first_metrics = next(m for m in sent if m.type == MsgType.METRICS)
-        assert peer.recv_type(MsgType.METRICS) == first_metrics
-        # a pull of two types takes whichever of them arrived first
-        rest = [m for m in sent
-                if m.type != MsgType.COINC_REPLY and m is not first_metrics]
-        assert peer.recv_type(MsgType.METRICS, MsgType.TIMING) == rest[0]
-        assert [peer.recv() for _ in rest[1:]] == rest[1:]
-        assert peer.recv().type == MsgType.BYE
+        for want in [m for m in sent if m.type == MsgType.METRICS]:
+            assert peer.recv_type(MsgType.METRICS) == want
+        held = [m for m in sent if m.type != MsgType.METRICS]
+        assert peer.recv_type(*early) == held[0]
+        assert [peer.recv() for _ in held[1:]] == held[1:]
+    finally:
+        io1.close()
+        io2.close()
+
+
+def test_peer_endpoint_refuses_what_it_may_not_hold():
+    io1, io2 = _io_pair()
+    try:
+        # a type the caller did not ask for and may not hold is refused,
+        # named with the types it asked for
+        peer = PeerEndpoint(io2, early=(MsgType.TIMING,))
+        io1.send(Message(MsgType.TIMING, b"t1"))
+        io1.send(Message(MsgType.METRICS, b"row"))
+        with pytest.raises(ProtocolError,
+                           match="unexpected METRICS, expected EC_PARITY$"):
+            peer.recv_type(MsgType.EC_PARITY)
+        # nothing is held once early messages end: what is held then is
+        # refused, and so is an early type that arrives later
+        with pytest.raises(ProtocolError, match="unexpected TIMING after"):
+            peer.end_early()
+        peer = PeerEndpoint(io2, early=(MsgType.TIMING,))
+        peer.end_early()
+        io1.send(Message(MsgType.TIMING, b"t2"))
+        with pytest.raises(ProtocolError, match="unexpected TIMING, "
+                           "expected EC_PARITY or KEY_HASH"):
+            peer.recv_type(MsgType.EC_PARITY, MsgType.KEY_HASH)
     finally:
         io1.close()
         io2.close()

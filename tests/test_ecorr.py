@@ -7,8 +7,8 @@ import pytest
 from ec_pair import reconcile_batch_pair, reconcile_pair
 from entkd.ecorr import (BICONF_TARGET, MIN_BLOCK, N_PASSES, EtaEstimator,
                          block_schedule, reconcile_correcting)
-from entkd.wire import (Message, MsgType, ProtocolError, decode_ec_parity,
-                        encode_ec_parity, frame)
+from entkd.wire import (DecodeError, Message, MsgType, ProtocolError,
+                        decode_ec_parity, encode_ec_parity, frame)
 
 
 def test_initial_block_size():
@@ -263,7 +263,7 @@ def test_batch_frame_must_carry_each_waiting_cluster_once():
         with pytest.raises(ProtocolError, match=why):
             _replay(batch, [frame(sections)])
     # the wire decoder already refuses a cluster repeated in one frame
-    with pytest.raises(ProtocolError, match="repeated"):
+    with pytest.raises(DecodeError, match="repeated"):
         _replay(batch, [frame([first[0], first[1], first[0]])])
 
 

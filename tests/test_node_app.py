@@ -1,9 +1,12 @@
 import configparser
 import gc
 import hashlib
+import json
 import math
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -23,12 +26,14 @@ from entkd.node import (METRICS_HEADER, PROTO_ROLE_MATCHER,
 from entkd.physim import read_stream_dump, simulate_link, write_stream_dump
 from entkd.privamp import final_length
 from entkd.wire import (WIRE_VERSION, Message, MsgType, ProtocolError,
-                        decode_coinc_reply, decode_ec_parity, decode_hello,
-                        decode_records, decode_timing, encode_coinc_reply,
-                        encode_hello, encode_records)
+                        TimingPacket, decode_coinc_reply, decode_ec_parity,
+                        decode_hello, decode_records, decode_timing,
+                        encode_coinc_reply, encode_hello, encode_records,
+                        encode_timing)
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+BENCH_SESSION = Path(__file__).resolve().parents[1] / "perfbench" / "session.py"
 
 
 def _write_ini(path, *, duration=3.0, seed=11, pair_rate=3000.0,
@@ -574,6 +579,31 @@ class _TamperEndpoint:
         self._inner.close()
 
 
+class _InjectEndpoint(_TamperEndpoint):
+    """Endpoint wrapper that sends, after each outgoing message, the
+    messages that its function (in place of mutate) returns for it."""
+
+    def send(self, msg):
+        self._inner.send(msg)
+        for extra in self._mutate(msg):
+            self._inner.send(extra)
+
+
+def _inject_after(mtype, stray):
+    """A function for _InjectEndpoint: the message stray(the last TIMING
+    sent) follows the first message of mtype."""
+    state = {"timing": None, "done": False}
+
+    def inject(msg):
+        if msg.type == MsgType.TIMING:
+            state["timing"] = msg
+        if msg.type != mtype or state["done"]:
+            return []
+        state["done"] = True
+        return [stray(state["timing"])]
+    return inject
+
+
 def _io_pair():
     s1, s2 = socket.socketpair()
     return MessageIO(s1), MessageIO(s2)
@@ -803,6 +833,55 @@ def test_streamer_refuses_a_malformed_metrics_row(tmp_path):
         _, _, box = _run_pair(_TamperEndpoint(io_m, tamper), io_s, sa, sb, d)
         assert isinstance(box.get("err"), ProtocolError), (n, box)
         assert "metrics payload" in str(box["err"])
+
+
+def _timing_after(msg):
+    """The payload of a one-event timing packet for the epoch after
+    msg's."""
+    epoch = decode_timing(msg.payload).epoch + 1
+    return encode_timing(TimingPacket(
+        epoch, epoch * EPOCH_TICKS, np.empty(0, np.int64), np.zeros(1)))
+
+
+@pytest.mark.parametrize("after, mtype, stray", [
+    (MsgType.TIMING, MsgType.METRICS, lambda _: b"0,0,0,0,0,0,0"),
+    (MsgType.TIMING, MsgType.COINC_REPLY,
+     lambda _: encode_coinc_reply(0, np.arange(3))),
+    (MsgType.TIMING, MsgType.HELLO,
+     lambda _: encode_hello(PROTO_ROLE_STREAMER)),
+    (MsgType.BYE, MsgType.KEY_HASH,
+     lambda _: encode_records(MsgType.KEY_HASH, [(0, 12345)])),
+    (MsgType.BYE, MsgType.TIMING, _timing_after),
+], ids=["METRICS", "COINC_REPLY", "HELLO", "KEY_HASH after BYE",
+        "TIMING after BYE"])
+def test_matcher_refuses_a_message_out_of_place(after, mtype, stray,
+                                                tmp_path):
+    # the matcher holds back only the packets and the BYE that the streamer
+    # sends before it is asked for them; any other message it did not ask
+    # for, and anything after that BYE, ends the session at once, named
+    sa, sb = _small_link(seed=32)
+    io_m, io_s = _io_pair()
+    inject = _inject_after(after, lambda last: Message(mtype, stray(last)))
+    _, err_m, box = _run_pair(io_m, _InjectEndpoint(io_s, inject), sa, sb,
+                              tmp_path)
+    assert isinstance(err_m, ProtocolError), err_m
+    assert f"unexpected {mtype.name}" in str(err_m)
+    assert "out" not in box
+
+
+def test_streamer_refuses_metrics_inside_a_batch(tmp_path):
+    # inside a batch the streamer takes only the matcher's parity frames
+    # and digest list: a metrics row there would land in its CSV out of
+    # the matcher's order
+    sa, sb = _small_link(seed=32)
+    io_m, io_s = _io_pair()
+    inject = _inject_after(MsgType.BATCH_SEEDS, lambda _: Message(
+        MsgType.METRICS, b"0.0,1.000,1.000,0.000,nan,0.000,0"))
+    _, err_m, box = _run_pair(_InjectEndpoint(io_m, inject), io_s, sa, sb,
+                              tmp_path)
+    assert isinstance(box.get("err"), ProtocolError), box
+    assert "unexpected METRICS, expected EC_PARITY" in str(box["err"])
+    assert err_m is not None
 
 
 def test_hello_with_wrong_version_is_refused():
@@ -1244,3 +1323,43 @@ def test_cli_key_override_targets_own_side(tmp_path):
     rc = cli.main(["loopback", "--config", str(ini), "--keys", str(ka)])
     assert rc == 0
     assert ka.exists() and len(_key_bits(ka)) > 0
+
+
+# every span name the benchmark's tracer (perfbench/tracing.py) records,
+# with the roles that record it: the station whose thread made the call,
+# or the app before either station runs
+TRACED_SPANS = {
+    "app.load_config": {"app"},
+    "app.build_streams": {"app"},
+    "physim.simulate_link": {"app"},
+    "wire.encode_timing": {"streamer"},
+    "wire.decode_timing": {"matcher"},
+    "channel.send": {"matcher", "streamer"},
+    "channel.recv": {"matcher", "streamer"},
+    "tsync.initial_lock": {"matcher"},
+    "tsync.servo_update": {"matcher"},
+    "coinc.match": {"matcher"},
+    "coinc.count_accidentals": {"matcher"},
+    "coinc.sift": {"matcher", "streamer"},
+    "ecorr.reconcile": {"matcher", "streamer"},
+    "privamp.final_length": {"matcher", "streamer"},
+    "privamp.toeplitz": {"matcher", "streamer"},
+    "privamp.digest": {"matcher", "streamer"},
+    "node.matcher": {"matcher"},
+    "node.streamer": {"streamer"},
+}
+
+
+def test_benchmark_tracer_reaches_every_call_site(tmp_path):
+    # the tracer wraps names where the program looks them up; a renamed or
+    # bypassed call site records no span, and the benchmark then reads its
+    # figure as 0 or NaN without an error
+    ini = _write_ini(tmp_path / "s.ini")
+    subprocess.run([sys.executable, str(BENCH_SESSION), "--config", str(ini),
+                    "--seed", "3", "--out", str(tmp_path), "--trace"],
+                   check=True, capture_output=True, timeout=300)
+    roles = {}
+    for name, role, *_ in json.loads(
+            (tmp_path / "spans.json").read_text())["spans"]:
+        roles.setdefault(name, set()).add(role)
+    assert roles == TRACED_SPANS
