@@ -449,6 +449,10 @@ class StreamerSession(_Station):
         if dets is None:
             raise ProtocolError(f"reply for epoch {epoch}, not sent or "
                                 "already answered")
+        # the decoder gives ascending indices, so the last is the largest
+        if kept.size and int(kept[-1]) >= dets.size:
+            raise ProtocolError(f"reply for epoch {epoch} keeps index "
+                                f"{int(kept[-1])} of its {dets.size} events")
         bits = coinc.remote_bits_from_reply(dets, kept)
         self._queue.append(bits)
         self.out.sifted_bits += bits.size

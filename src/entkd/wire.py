@@ -4,7 +4,8 @@ Three layers live here:
 
   * TimingPacket: one epoch of detection events, delta-encoded with a Rice
     code plus one basis flag per event (the outcome bit never leaves the
-    detector side).
+    detector side). A coincidence reply codes its kept indices with the
+    same Rice body.
   * Message framing: [u8 tag][u32 length LE][payload] over any reliable
     ordered byte stream.
   * Payload codecs for the small control messages (coincidence replies,
@@ -41,7 +42,9 @@ RICE_K_MAX = 40
 # 6: HELLO is (u16 version, u8 role), without the unused start epoch
 # 7: each BATCH_SEEDS record carries its cluster's bit count, so the
 #    matcher alone decides where clusters end
-WIRE_VERSION = 7
+# 8: a coincidence reply Rice-codes its kept indices' gaps, as a timing
+#    packet codes its deltas
+WIRE_VERSION = 8
 
 
 class DecodeError(ValueError):
@@ -179,9 +182,10 @@ def packetize(stream: EventStream) -> list[TimingPacket]:
 
 
 _TIMING_HDR = struct.Struct("<IIQB")
-# bit shifts of a k-bit remainder, MSB first, and their weights, for each k
-_REM_SHIFTS = [np.arange(k - 1, -1, -1) for k in range(RICE_K_MAX + 1)]
-_REM_WEIGHTS = [1 << s for s in _REM_SHIFTS]
+# the weights of a k-bit remainder's bits, MSB first, for each k: floats,
+# so that one BLAS matrix product sums them, and exactly, as every
+# remainder is below 2**RICE_K_MAX < 2**53
+_REM_WEIGHTS = [2.0 ** np.arange(k - 1, -1, -1) for k in range(RICE_K_MAX + 1)]
 
 
 def choose_rice_k(deltas: np.ndarray) -> int:
@@ -192,25 +196,67 @@ def choose_rice_k(deltas: np.ndarray) -> int:
     return max(0, min(RICE_K_MAX, k))
 
 
-def encode_timing(p: TimingPacket) -> bytes:
-    """Header, then the body in sections: every delta's quotient in unary
-    (q zero bits, then a one), then every k-bit remainder (MSB-first), as
-    one bit stream zero-padded to a byte, then the basis flags zero-padded
-    to a byte."""
-    k = choose_rice_k(p.deltas)
-    values = p.deltas - 1
+def _rice_encode(values: np.ndarray, k: int) -> bytes:
+    """The Rice body of values >= 1 at parameter k: every quotient
+    (value - 1) >> k in unary (q zero bits, then a one), then every k-bit
+    remainder (MSB-first), as one bit stream zero-padded to a byte."""
+    values = values - 1
     q = values >> k
     n_unary = int(q.sum()) + values.size
     rice_bits = n_unary + values.size * k
-    flag_start = -(-rice_bits // 8) * 8
-    bits = np.zeros(flag_start + p.count, dtype=np.uint8)
+    bits = np.zeros(-(-rice_bits // 8) * 8, dtype=np.uint8)
     ends = np.cumsum(q + 1)
     ends -= 1
     bits[ends] = 1
     if k:
-        bits[n_unary:rice_bits].reshape(-1, k)[:] = values[:, None] >> _REM_SHIFTS[k] & 1
-    bits[flag_start:] = p.basis_flags
-    return _TIMING_HDR.pack(p.epoch, p.count, p.first_time, k) + np.packbits(bits).tobytes()
+        # shift each remainder to the top of its last ceil(k/8) big-endian
+        # bytes, whose first k bits are then the remainder, MSB first
+        nb = -(-k // 8)
+        top = (values << nb * 8 - k).astype(">u8").view(np.uint8)
+        bits[n_unary:rice_bits] = np.unpackbits(
+            top.reshape(-1, 8)[:, 8 - nb:], axis=1, count=k).ravel()
+    return np.packbits(bits).tobytes()
+
+
+def _rice_decode(bits: np.ndarray, n: int, k: int, limit: int,
+                 offset: int) -> np.ndarray:
+    """The n values that _rice_encode wrote at parameter k, from its body
+    unpacked to bits; the caller has checked that they hold n * (1 + k)
+    bits at least, and offset is the body's first byte in the payload.
+    Refused: a unary section that leaves no room for the remainders, a
+    body a byte or more longer than the values need, nonzero pad bits, and
+    quotients whose sum times 2**k reaches limit."""
+    end = offset + bits.size // 8
+    # the unary section must end where all n*k remainder bits still fit;
+    # the bits are 0/1, and numpy finds the ones of a bool array faster
+    ends = np.flatnonzero(bits[: bits.size - n * k].view(bool))[:n]
+    if ends.size < n:
+        raise DecodeError("unary run exceeds buffer", end)
+    n_unary = int(ends[-1]) + 1 if n else 0
+    rice_bits = n_unary + n * k
+    if bits.size - rice_bits >= 8:
+        raise DecodeError("payload length disagrees with declared count",
+                          offset + -(-rice_bits // 8))
+    if np.count_nonzero(bits[rice_bits:]):
+        raise DecodeError("nonzero padding after rice data", end - 1)
+    # this also keeps q << k in range
+    if (n_unary - n) << k >= limit:
+        raise DecodeError("implausible unary run", offset)
+    q = ends.copy()
+    q[1:] -= ends[:-1] + 1
+    values = (q << k) + 1
+    if k:
+        values += (bits[n_unary:rice_bits].reshape(n, k)
+                   @ _REM_WEIGHTS[k]).astype(np.int64)
+    return values
+
+
+def encode_timing(p: TimingPacket) -> bytes:
+    """Header, then the deltas' Rice body (see _rice_encode), then the
+    basis flags zero-padded to a byte."""
+    k = choose_rice_k(p.deltas)
+    return (_TIMING_HDR.pack(p.epoch, p.count, p.first_time, k)
+            + _rice_encode(p.deltas, k) + np.packbits(p.basis_flags).tobytes())
 
 
 def decode_timing(b: bytes) -> TimingPacket:
@@ -222,34 +268,17 @@ def decode_timing(b: bytes) -> TimingPacket:
     if k > RICE_K_MAX:
         raise DecodeError(f"rice parameter {k} out of range", 16)
     n = count - 1
-    flag_off = len(b) - (count + 7) // 8
-    rice_end = 8 * (flag_off - _TIMING_HDR.size)
+    rice_end = 8 * (len(b) - (count + 7) // 8 - _TIMING_HDR.size)
     # every delta costs at least 1+k bits and every event one flag bit, so an
     # implausible count is rejected before any allocation sized from it
     if rice_end < n * (1 + k):
         raise DecodeError("payload too short for declared event count", 4)
-    bits = np.unpackbits(np.frombuffer(b, dtype=np.uint8, offset=_TIMING_HDR.size))
-    # the unary section must end where all n*k remainder bits still fit
-    ends = np.flatnonzero(bits[: rice_end - n * k])[:n]
-    if ends.size < n:
-        raise DecodeError("unary run exceeds buffer", flag_off)
-    n_unary = int(ends[-1]) + 1 if n else 0
-    rice_bits = n_unary + n * k
-    if rice_end - rice_bits >= 8:
-        raise DecodeError("payload length disagrees with event count",
-                          _TIMING_HDR.size + -(-rice_bits // 8))
-    if np.count_nonzero(bits[rice_bits:rice_end]):
-        raise DecodeError("nonzero padding after rice data", flag_off - 1)
-    # the quotients alone must fit in an epoch; this also keeps q << k in range
-    if (n_unary - n) << k >= EPOCH_TICKS:
-        raise DecodeError("implausible unary run", _TIMING_HDR.size)
-    q = ends.copy()
-    q[1:] -= ends[:-1] + 1
-    deltas = (q << k) + 1
-    if k:
-        deltas += bits[n_unary:rice_bits].reshape(n, k).dot(_REM_WEIGHTS[k])
+    bits = np.unpackbits(np.frombuffer(b, dtype=np.uint8,
+                                       offset=_TIMING_HDR.size))
+    # the quotients alone must fit in an epoch
+    deltas = _rice_decode(bits[:rice_end], n, k, EPOCH_TICKS, _TIMING_HDR.size)
     if n and int(deltas.max()) > EPOCH_TICKS:
-        raise DecodeError("delta larger than an epoch", _TIMING_HDR.size + n_unary // 8)
+        raise DecodeError("delta larger than an epoch", _TIMING_HDR.size)
     flags = bits[rice_end:]
     if np.count_nonzero(flags[count:]):
         raise DecodeError("nonzero padding after basis flags", len(b) - 1)
@@ -264,6 +293,7 @@ def decode_timing(b: bytes) -> TimingPacket:
 
 _HELLO = struct.Struct("<HB")
 _U32 = struct.Struct("<I")
+_REPLY_HDR = struct.Struct("<IIB")
 _EC_SECTION = struct.Struct("<IHBI")
 # the fixed-size record of each cluster list: (u32 cluster id, u32 bits,
 # u64 EC seed, u64 PA seed) in BATCH_SEEDS, (u32 cluster id, u64 digest) in
@@ -283,22 +313,34 @@ def decode_hello(b: bytes) -> tuple[int, int]:
 
 
 def encode_coinc_reply(epoch: int, kept_remote_indices: np.ndarray) -> bytes:
+    """[u32 epoch][u32 count][u8 k], then the Rice body (see _rice_encode)
+    of the gaps np.diff(indices, prepend=-1), each >= 1."""
     idx = np.asarray(kept_remote_indices, dtype=np.int64)
-    head = _U32.pack(epoch) + _U32.pack(idx.size)
-    return head + np.diff(idx, prepend=0).astype("<u4").tobytes()
+    gaps = np.diff(idx, prepend=-1)
+    if idx.size and int(gaps.min()) < 1:
+        raise ContractViolation("kept indices must ascend strictly from 0")
+    k = choose_rice_k(gaps)
+    return _REPLY_HDR.pack(epoch, idx.size, k) + _rice_encode(gaps, k)
 
 
 def decode_coinc_reply(b: bytes) -> tuple[int, np.ndarray]:
-    if len(b) < 8:
+    if len(b) < _REPLY_HDR.size:
         raise DecodeError("truncated coincidence reply", len(b))
-    epoch = _U32.unpack_from(b, 0)[0]
-    n = _U32.unpack_from(b, 4)[0]
-    if len(b) != 8 + 4 * n:
-        raise DecodeError("coincidence reply length mismatch", 8)
-    gaps = np.frombuffer(b, dtype="<u4", offset=8).astype(np.int64)
-    if n and (gaps[1:] == 0).any():
-        raise DecodeError("zero gap in kept indices", 8)
-    return epoch, np.cumsum(gaps)
+    epoch, n, k = _REPLY_HDR.unpack_from(b, 0)
+    # a remainder of more bits could carry an index to 2**32 alone
+    if k > 32:
+        raise DecodeError(f"rice parameter {k} out of range", 8)
+    # every index costs at least 1+k bits, so an implausible count is
+    # rejected before any allocation sized from it
+    if 8 * (len(b) - _REPLY_HDR.size) < n * (1 + k):
+        raise DecodeError("payload too short for declared index count", 4)
+    bits = np.unpackbits(np.frombuffer(b, dtype=np.uint8,
+                                       offset=_REPLY_HDR.size))
+    idx = np.cumsum(_rice_decode(bits, n, k, 1 << 32, _REPLY_HDR.size))
+    idx -= 1
+    if n and int(idx[-1]) >= 1 << 32:
+        raise DecodeError("kept index reaches 2**32", _REPLY_HDR.size)
+    return epoch, idx
 
 
 class ParitySection(NamedTuple):

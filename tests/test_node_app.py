@@ -28,8 +28,8 @@ from entkd.privamp import final_length
 from entkd.wire import (WIRE_VERSION, Message, MsgType, ProtocolError,
                         TimingPacket, decode_coinc_reply, decode_ec_parity,
                         decode_hello, decode_records, decode_timing,
-                        encode_coinc_reply, encode_hello, encode_records,
-                        encode_timing)
+                        dedupe_ticks, encode_coinc_reply, encode_hello,
+                        encode_records, encode_timing, packetize)
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -291,7 +291,7 @@ NOMINAL_KEYS_SHA256 = (
 NOMINAL_WIRE = {
     MsgType.HELLO: (2, 6),
     MsgType.TIMING: (112, 2_288_001),
-    MsgType.COINC_REPLY: (112, 265_948),
+    MsgType.COINC_REPLY: (112, 43_100),
     MsgType.BATCH_SEEDS: (7, 340),
     MsgType.EC_PARITY: (6_049, 144_518),
     MsgType.KEY_HASH: (14, 368),
@@ -882,6 +882,31 @@ def test_streamer_refuses_metrics_inside_a_batch(tmp_path):
     assert isinstance(box.get("err"), ProtocolError), box
     assert "unexpected METRICS, expected EC_PARITY" in str(box["err"])
     assert err_m is not None
+
+
+def test_streamer_refuses_a_reply_index_past_its_epoch(tmp_path):
+    # a reply that keeps an event the epoch's packet did not carry is the
+    # matcher's fault, named by epoch, index and the epoch's event count
+    sa, sb = _small_link(seed=32)
+    first = packetize(dedupe_ticks(sb))[0]
+    bad = first.count + 5
+
+    def tamper(msg):
+        if msg.type == MsgType.COINC_REPLY:
+            epoch, kept = decode_coinc_reply(msg.payload)
+            if epoch == first.epoch:
+                return Message(msg.type, encode_coinc_reply(
+                    epoch, np.append(kept, bad)))
+        return msg
+
+    io_m, io_s = _io_pair()
+    _, err_m, box = _run_pair(_TamperEndpoint(io_m, tamper), io_s, sa, sb,
+                              tmp_path)
+    err = box.get("err")
+    assert isinstance(err, ProtocolError), box
+    assert (f"reply for epoch {first.epoch} keeps index {bad} of its "
+            f"{first.count} events") in str(err)
+    assert err_m is not None and "out" not in box
 
 
 def test_hello_with_wrong_version_is_refused():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entkd.core import EPOCH_TICKS, ContractViolation, EventStream
@@ -173,6 +173,7 @@ def test_decode_rejects_section_damage():
 
 def test_decode_fuzz_random_bytes():
     rng = np.random.default_rng(0)
+    replies = 0
     for n in list(range(0, 30)) + [100, 1000]:
         for _ in range(20):
             blob = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
@@ -180,6 +181,22 @@ def test_decode_fuzz_random_bytes():
                 decode_timing(blob)
             except DecodeError:
                 pass
+            # a random reply body, also behind a plausible count and k
+            count = int(rng.integers(0, 8 * max(n - 9, 0) + 2))
+            k = int(rng.integers(0, 34))
+            for reply in (blob, blob[:4] + count.to_bytes(4, "little")
+                          + bytes([k]) + blob[9:]):
+                try:
+                    _, idx = decode_coinc_reply(reply)
+                except DecodeError:
+                    continue
+                # anything that decodes is a strictly ascending index set
+                # inside a u32
+                replies += 1
+                assert idx.dtype == np.int64
+                assert idx.size == 0 or 0 <= idx[0] and idx[-1] < 2**32
+                assert (np.diff(idx) > 0).all()
+    assert replies > 20
 
 
 def test_framing_roundtrip():
@@ -233,24 +250,80 @@ def test_packetize_partitions_by_epoch():
         assert (p.times() >> 32 == p.epoch).all()
 
 
-def test_coinc_reply_roundtrip():
-    idx = np.array([0, 3, 4, 100, 65000], dtype=np.int64)
-    epoch, out = decode_coinc_reply(encode_coinc_reply(77, idx))
-    assert epoch == 77
-    assert np.array_equal(out, idx)
-    epoch, out = decode_coinc_reply(
-        encode_coinc_reply(1, np.array([], dtype=np.int64)))
-    assert epoch == 1 and out.size == 0
+# epoch 5, kept indices 3, 6, 15, 17, 30: gaps from -1 are 4, 3, 9, 2, 13,
+# mean 6.2, so k = round(log2 6.2) - 1 = 2; the values 3, 2, 8, 1, 12
+# split into quotients 0, 0, 2, 0, 3 and remainders 3, 2, 0, 1, 0
+GOLDEN_REPLY = bytes.fromhex(
+    "05000000" "05000000" "02"
+    # unary 1 1 001 1 0001, remainders 11 10 00 01 00, four pad bits:
+    # 1100 1100 | 0111 1000 | 0100 0000
+    "cc7840")
+
+
+def test_golden_coinc_reply_bytes():
+    idx = np.array([3, 6, 15, 17, 30], dtype=np.int64)
+    assert encode_coinc_reply(5, idx) == GOLDEN_REPLY
+    epoch, out = decode_coinc_reply(GOLDEN_REPLY)
+    assert epoch == 5 and np.array_equal(out, idx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.one_of(st.integers(1, 16), st.integers(1, 2**24)),
+                max_size=80))
+@example(0, [])
+@example(7, [1])                       # the index set [0]
+@example(2**32 - 1, [2**32])           # the largest index alone, k = 31
+@example(1, [5, 2**21, 1, 2**20 + 3, 2])
+def test_coinc_reply_roundtrip(epoch, gaps):
+    # ascending index sets, from their gaps to the previous index (or -1)
+    idx = np.cumsum(np.array(gaps, dtype=np.int64)) - 1
+    got_epoch, out = decode_coinc_reply(encode_coinc_reply(epoch, idx))
+    assert got_epoch == epoch
+    assert out.dtype == np.int64 and np.array_equal(out, idx)
 
 
 def test_coinc_reply_validation():
-    # the encoder trusts sift's ascending indices; a repeated one is
-    # refused where a reply enters, by the decoder
-    with pytest.raises(DecodeError, match="zero gap"):
-        decode_coinc_reply(encode_coinc_reply(0, np.array([3, 3])))
-    blob = encode_coinc_reply(0, np.array([2, 5], dtype=np.int64))
-    with pytest.raises(DecodeError):
-        decode_coinc_reply(blob[:-1])
+    # a repeated, falling or negative index cannot be written on the wire
+    for bad in ([3, 3], [5, 2], [-1, 4]):
+        with pytest.raises(ContractViolation, match="ascend strictly"):
+            encode_coinc_reply(0, np.array(bad, dtype=np.int64))
+
+
+def _reply(count, k, rice_bits, epoch=5):
+    """A reply payload with a hand-written body, zero-padded to a byte."""
+    bits = np.array([int(c) for c in rice_bits], dtype=np.uint8)
+    return (epoch.to_bytes(4, "little") + count.to_bytes(4, "little")
+            + bytes([k]) + np.packbits(bits).tobytes())
+
+
+def test_coinc_reply_decoder_rejections():
+    g = GOLDEN_REPLY
+    cases = (
+        ("truncated coincidence reply", g[:8]),
+        # a 33-bit remainder alone could carry an index to 2**32
+        ("rice parameter 33 out of range", g[:8] + b"\x21" + g[9:]),
+        # each index at k = 2 costs 3 bits at least: nine need more than
+        # the 24 sent, and 2**32 - 1 more than any body holds, so nothing
+        # is allocated for them
+        ("too short for declared index count", g[:4] + b"\x09" + g[5:]),
+        ("too short for declared index count",
+         g[:4] + b"\xff\xff\xff\xff" + g[8:]),
+        # no terminator: the first run reaches into the remainders' room
+        ("unary run exceeds buffer", g[:9] + bytes(3)),
+        ("payload length disagrees", g + b"\x00"),
+        ("nonzero padding after rice data", g[:-1] + b"\x41"),
+        # k = 32 and a quotient of 1: the first index is 2**32 already
+        ("implausible unary run", _reply(1, 32, "01" + "0" * 32)),
+        # two remainders of 2**32 - 1: the second index is 2**33 - 1
+        ("kept index reaches 2", _reply(2, 32, "11" + "1" * 64)),
+    )
+    for why, blob in cases:
+        with pytest.raises(DecodeError, match=why):
+            decode_coinc_reply(blob)
+    # the largest index a reply may carry
+    assert list(decode_coinc_reply(_reply(1, 32, "1" + "1" * 32))[1]) == [
+        2**32 - 1]
 
 
 def _sections(*specs):
@@ -388,7 +461,7 @@ def test_control_codecs():
 
 def test_hello_golden_bytes():
     # (u16 version, u8 role), little-endian
-    assert WIRE_VERSION == 7
-    assert encode_hello(0) == b"\x07\x00\x00"
-    assert encode_hello(1) == b"\x07\x00\x01"
+    assert WIRE_VERSION == 8
+    assert encode_hello(0) == b"\x08\x00\x00"
+    assert encode_hello(1) == b"\x08\x00\x01"
     assert decode_hello(b"\x02\x01\x01") == (0x0102, 1)
