@@ -1,11 +1,11 @@
 """Interactive parity-exchange error correction on clustered key bits.
 
 One engine per cluster serves either side of the dialogue and does no
-I/O: its phases are generators that yield each outgoing parity section
-and take each incoming one as the value of a bare yield. The reference
-side discloses parities of its bits; the correcting side compares them
-against its own, locates differing positions by batched binary
-bisection, and flips them. Six partition passes (block sizes from
+I/O: its phases are generators that yield each outgoing list of parity
+bits, and the number of bits they take next to receive the peer's. The
+reference side discloses parities of its bits; the correcting side
+compares them against its own, locates differing positions by batched
+binary bisection, and flips them. Six partition passes (block sizes from
 block_schedule; the first in natural order, the rest over shared seeded
 permutations) are followed by random-subset confirmation rounds until
 twelve consecutive rounds agree. Every bit flipped re-opens the blocks
@@ -15,17 +15,20 @@ before the next pass starts (the Cascade effect).
 A batch of clusters is reconciled over one dialogue (Pedersen and
 Toyran, "High performance information reconciliation for QKD with
 CASCADE", QIC 15, 2015): _lockstep steps the batch's engines together,
-and each EC_PARITY frame carries one section for every cluster that has
-something to send at that point, so a bisection level costs one round
-trip for the whole batch. Every engine runs exactly the dialogue it
-would run alone; only the framing is shared. _drive connects a batch to
-a transport's send and receive.
+and each EC_PARITY frame carries the bits of every cluster that has
+something to send at that point, in batch order, so a bisection level
+costs one round trip for the whole batch. Every engine runs exactly the
+dialogue it would run alone; only the framing is shared. A frame names
+no cluster or round: both sides step mirrored engines, so the receiver
+knows how many bits each of its waiting engines takes. _drive connects
+a batch to a transport's send and receive.
 
 Disclosed-parity accounting: every bisection step leaks exactly one bit
 about the shared string (one side's half-block parity plus the other
-side's compare outcome), so only reference-side parity sections carry
-the counted flag. Both engines accumulate the same count c, and the
-section envelope makes the accounting auditable from a raw transcript.
+side's compare outcome), so only the bits the reference side sends are
+counted. Both engines accumulate the same count c, and the accounting is
+auditable from a raw transcript: the bit counts of the reference side's
+frames for a batch sum to c over the batch's clusters.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .wire import (Message, MsgType, ParitySection, ProtocolError,
-                   decode_ec_parity, encode_ec_parity)
+from .wire import (Message, MsgType, ProtocolError, decode_ec_parity,
+                   encode_ec_parity)
 
 N_PASSES = 6
 BICONF_TARGET = 12
@@ -46,15 +49,6 @@ DEFAULT_ETA = 0.05
 ETA_ALPHA = 0.5
 MIN_BLOCK = 8
 CLUSTER_THRESHOLD = 5000
-
-# round identifiers inside EC_PARITY messages
-R_PASS_BASE = 0        # + pass index: reference block parities
-R_BITMAP_BASE = 100    # + pass index: correcting-side mismatch bitmap
-R_BISECT_PARITY = 110  # reference left-half parities for one bisection level
-R_BISECT_BRANCH = 111  # correcting-side branch choices for the same level
-R_BICONF_PARITY = 120  # reference subset parity
-R_BICONF_RESULT = 121  # correcting-side subset compare outcome
-R_DONE = 130           # correcting side reports its total flip count
 
 _BICONF_SALT = 1000    # keeps subset seeds clear of pass-permutation seeds
 
@@ -127,9 +121,9 @@ class _Engine:
     decisions are reproduced identically without extra coordination
     traffic beyond the parity and branch messages themselves.
 
-    run() returns a generator. It yields each outgoing ParitySection,
-    yields None when it needs the peer's next section (sent back into
-    it), and returns the ReconciliationReport.
+    run() returns a generator. It yields each outgoing list of 0/1 bits,
+    yields an int n when it needs the peer's next n bits (sent back into
+    it as a list), and returns the ReconciliationReport.
     """
 
     def __init__(self, role, bits, cluster_id, shared_seed, eta_est):
@@ -171,31 +165,19 @@ class _Engine:
 
     # -- message plumbing ---------------------------------------------
 
-    def _round(self, sender: str, round_id: int, bits: list):
+    def _round(self, sender: str, bits: list):
         """One round of the dialogue; returns the round's bits.
 
-        The round's sender yields its own bits as a section and returns
-        them. The other side yields None, takes the peer's section (whose
-        cluster _frame_sections has matched), checks its round, length and
-        counted flag against what this side expects, and returns the peer's
-        bits. Both count the bits of a reference round in c.
+        The round's sender yields its own bits and returns them. The other
+        side yields len(bits), the count it expects, and returns the
+        peer's bits, which _lockstep has cut to exactly that count. Both
+        count the bits of a reference round in c.
         """
-        counted = sender == ROLE_REFERENCE
         if self.role == sender:
-            yield ParitySection(self.cluster_id, round_id, counted, bits)
+            yield bits
         else:
-            sec = yield None
-            if sec.round_id != round_id:
-                raise ProtocolError(
-                    f"round {sec.round_id}, expected {round_id}")
-            if len(sec.bits) != len(bits):
-                raise ProtocolError(
-                    f"{len(sec.bits)} parity bits, expected {len(bits)}")
-            if sec.counted != counted:
-                raise ProtocolError(f"round {round_id} with counted flag "
-                                    f"{int(sec.counted)}")
-            bits = sec.bits
-        if counted:
+            bits = yield len(bits)
+        if sender == ROLE_REFERENCE:
             self.c += len(bits)
         return bits
 
@@ -260,13 +242,11 @@ class _Engine:
                     vals.append(prefix[mid] ^ prefix[lo])
             if not active:
                 return idx[found]
-            vals = yield from self._round(ROLE_REFERENCE, R_BISECT_PARITY,
-                                          vals)
+            vals = yield from self._round(ROLE_REFERENCE, vals)
             known.update(zip(mids, vals))
             diff = [known[mid] ^ prefix[mid] ^ prefix[lo]
                     for lo, mid, _, _ in active]
-            go_left = yield from self._round(ROLE_CORRECTING, R_BISECT_BRANCH,
-                                             diff)
+            go_left = yield from self._round(ROLE_CORRECTING, diff)
             spans = [(lo, mid, known[mid]) if g
                      else (mid, hi, par ^ known[mid])
                      for (lo, mid, hi, par), g in zip(active, go_left)]
@@ -300,10 +280,9 @@ class _Engine:
         k = self.block_size[p]
         mine = np.bitwise_xor.reduceat(self.bits[self.perm[p]],
                                        np.arange(0, self.r, k)).tolist()
-        ref = yield from self._round(ROLE_REFERENCE, R_PASS_BASE + p, mine)
-        bitmap = yield from self._round(
-            ROLE_CORRECTING, R_BITMAP_BASE + p,
-            [a ^ b for a, b in zip(ref, mine)])
+        ref = yield from self._round(ROLE_REFERENCE, mine)
+        bitmap = yield from self._round(ROLE_CORRECTING,
+                                        [a ^ b for a, b in zip(ref, mine)])
         self.flags[self.offset[p]:self.offset[p + 1]] = bitmap
         self.block_parity.append(ref)
         self.known.append({})
@@ -321,10 +300,8 @@ class _Engine:
         while clean < BICONF_TARGET:
             positions = self._subset_positions(rnd)
             mine = int(np.bitwise_xor.reduce(self.bits[positions]))
-            ref, = yield from self._round(ROLE_REFERENCE, R_BICONF_PARITY,
-                                          [mine])
-            hit, = yield from self._round(ROLE_CORRECTING, R_BICONF_RESULT,
-                                          [ref ^ mine])
+            ref, = yield from self._round(ROLE_REFERENCE, [mine])
+            hit, = yield from self._round(ROLE_CORRECTING, [ref ^ mine])
             self.biconf_rounds += 1
             if hit:
                 self.biconf_hits += 1
@@ -342,7 +319,7 @@ class _Engine:
     def _finish(self):
         # the correcting side's flip count as 32 bits, most significant first
         tally = [(self.errors_found >> i) & 1 for i in range(31, -1, -1)]
-        bits = yield from self._round(ROLE_CORRECTING, R_DONE, tally)
+        bits = yield from self._round(ROLE_CORRECTING, tally)
         claimed = 0
         for bit in bits:
             claimed = claimed << 1 | bit
@@ -380,28 +357,28 @@ def _lockstep(engines):
     A generator like each engine's run(): it yields each outgoing
     EC_PARITY message, yields None when it needs the peer's next one
     (sent back into it), and returns the reports in batch order. Every
-    frame holds the next section of each engine that has one to send.
-    Both sides step mirrored engines, so the clusters a side waits on are
-    exactly those the peer's next frame must carry, in batch order. The
-    batch is never empty and its ids are distinct: both stations number
-    clusters in sequence as they take them off their queue of sifted bits.
+    frame holds the next bits of each engine that has some to send, in
+    batch order. Both sides step mirrored engines, so the engines a side
+    waits on are exactly those whose bits the peer's next frame carries,
+    and each takes the count of bits it asked for. The batch is never
+    empty: both stations number clusters in sequence as they take them
+    off their queue of sifted bits.
     """
-    ids = [eng.cluster_id for eng in engines]
     steps = [eng.run() for eng in engines]
-    queued = [deque() for _ in engines]   # sections not yet sent
-    waiting = [False] * len(engines)      # parked on a bare yield
+    queued = [deque() for _ in engines]   # bit lists not yet sent
+    need = [None] * len(engines)          # bits taken next, None if done
     reports = [None] * len(engines)
 
     def advance(i, reply):
         """Resume engine i with reply until it waits or returns."""
         try:
             out = steps[i].send(reply)
-            while out is not None:
+            while type(out) is list:
                 queued[i].append(out)
                 out = steps[i].send(None)
-            waiting[i] = True
+            need[i] = out
         except StopIteration as stop:
-            waiting[i], reports[i] = False, stop.value
+            need[i], reports[i] = None, stop.value
 
     for i in range(len(engines)):
         advance(i, None)
@@ -410,34 +387,24 @@ def _lockstep(engines):
         for i, q in enumerate(queued):
             if q:
                 out.append(q.popleft())
-            if waiting[i] and not q:
+            if need[i] is not None and not q:
                 expect.append(i)
         if out:
             yield Message(MsgType.EC_PARITY, encode_ec_parity(out))
         if expect:
-            sections = _frame_sections((yield None), [ids[i] for i in expect],
-                                       ids)
-            for i, sec in zip(expect, sections):
-                advance(i, sec)
+            bits = decode_ec_parity((yield None).payload)
+            want = sum(need[i] for i in expect)
+            if len(bits) != want:
+                raise ProtocolError(f"frame carries {len(bits)} bits, "
+                                    f"expected {want}")
+            pos = 0
+            for i in expect:
+                # advance overwrites need[i] with the engine's next count
+                n = need[i]
+                advance(i, bits[pos:pos + n])
+                pos += n
         elif not out:
             return reports
-
-
-def _frame_sections(msg: Message, expect: list[int], batch: list[int]):
-    """The sections of an EC_PARITY frame, one per expected cluster in
-    order; a missing, foreign or misplaced cluster is a ProtocolError."""
-    sections = decode_ec_parity(msg.payload)
-    got = [sec.cluster_id for sec in sections]
-    if got != expect:
-        for cid in got:
-            if cid not in batch:
-                raise ProtocolError(f"cluster id {cid} is not in the batch")
-        for cid in expect:
-            if cid not in got:
-                raise ProtocolError(f"cluster id {cid} missing from the frame")
-        raise ProtocolError(f"frame carries cluster ids {got}, "
-                            f"expected {expect}")
-    return sections
 
 
 def _drive(steps, send, recv):

@@ -11,9 +11,9 @@ Three layers live here:
   * Payload codecs for the small control messages (coincidence replies,
     reconciliation parities, seeds and digests). One BATCH_SEEDS message
     announces a reconciliation batch with each cluster's size and its
-    error-correction and compression seeds, one EC_PARITY frame carries a
-    section for each cluster of the batch, and one KEY_HASH per station
-    lists the digests of the batch's kept keys.
+    error-correction and compression seeds, one EC_PARITY frame carries the
+    bits of every cluster of the batch with something to send, and one
+    KEY_HASH per station lists the digests of the batch's kept keys.
 
 All multi-byte header fields are little-endian. Bit packing is MSB-first
 (numpy packbits convention) throughout.
@@ -25,7 +25,6 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from math import log2
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +43,9 @@ RICE_K_MAX = 40
 #    matcher alone decides where clusters end
 # 8: a coincidence reply Rice-codes its kept indices' gaps, as a timing
 #    packet codes its deltas
-WIRE_VERSION = 8
+# 9: an EC_PARITY frame is its bit count and its bits, with no per-cluster
+#    section records
+WIRE_VERSION = 9
 
 
 class DecodeError(ValueError):
@@ -294,7 +295,6 @@ def decode_timing(b: bytes) -> TimingPacket:
 _HELLO = struct.Struct("<HB")
 _U32 = struct.Struct("<I")
 _REPLY_HDR = struct.Struct("<IIB")
-_EC_SECTION = struct.Struct("<IHBI")
 # the fixed-size record of each cluster list: (u32 cluster id, u32 bits,
 # u64 EC seed, u64 PA seed) in BATCH_SEEDS, (u32 cluster id, u64 digest) in
 # KEY_HASH
@@ -343,59 +343,27 @@ def decode_coinc_reply(b: bytes) -> tuple[int, np.ndarray]:
     return epoch, idx
 
 
-class ParitySection(NamedTuple):
-    """One cluster's share of an EC_PARITY frame; bits is a list of 0/1
-    ints."""
-
-    cluster_id: int
-    round_id: int
-    counted: bool
-    bits: list
-
-
 def encode_ec_parity(sections) -> bytes:
-    """[u32 section count], then per section [u32 cluster][u16 round]
-    [u8 counted][u32 bit count], then every section's bits in table order
-    as one bit stream zero-padded to a byte."""
-    table = b"".join([_EC_SECTION.pack(s.cluster_id, s.round_id, s.counted,
-                                       len(s.bits)) for s in sections])
-    bits = b"".join([bytes(s.bits) for s in sections])   # a byte per bit
-    return (_U32.pack(len(sections)) + table
+    """[u32 bit count], then every section's bits (each a list of 0/1) in
+    order as one bit stream zero-padded to a byte."""
+    bits = b"".join([bytes(s) for s in sections])   # a byte per bit
+    return (_U32.pack(len(bits))
             + np.packbits(np.frombuffer(bits, dtype=np.uint8)).tobytes())
 
 
-def decode_ec_parity(b: bytes) -> list[ParitySection]:
+def decode_ec_parity(b: bytes) -> list[int]:
+    """The frame's bits, a list of 0/1 ints; the receiving engines know
+    how many each of them takes."""
     if len(b) < _U32.size:
         raise DecodeError("truncated parity frame", len(b))
     n = _U32.unpack_from(b, 0)[0]
-    if n == 0:
-        raise DecodeError("parity frame with no sections", 0)
-    body = _U32.size + n * _EC_SECTION.size
-    if len(b) < body:
-        raise DecodeError("truncated section table", len(b))
-    bits = np.unpackbits(np.frombuffer(b, dtype=np.uint8,
-                                       offset=body)).tolist()
-    sections = []
-    seen = set()
-    pos = 0
-    for off in range(_U32.size, body, _EC_SECTION.size):
-        cluster, round_id, counted, nbits = _EC_SECTION.unpack_from(b, off)
-        if cluster in seen:
-            raise DecodeError(f"cluster {cluster} repeated in parity frame", off)
-        if counted > 1:
-            raise DecodeError(f"counted flag {counted} is not 0/1", off + 6)
-        if pos + nbits > len(bits):
-            raise DecodeError("section bits overrun the frame body", off + 7)
-        seen.add(cluster)
-        sections.append(ParitySection(cluster, round_id, counted == 1,
-                                      bits[pos:pos + nbits]))
-        pos += nbits
-    pad = len(bits) - pos
-    if pad >= 8:
-        raise DecodeError("parity frame longer than its sections", body)
-    if b[-1] & ((1 << pad) - 1):
+    if len(b) != _U32.size + (n + 7) // 8:
+        raise DecodeError(f"parity frame of {len(b)} bytes for {n} bits",
+                          _U32.size)
+    if b[-1] & ((1 << -n % 8) - 1):
         raise DecodeError("nonzero padding after parity bits", len(b) - 1)
-    return sections
+    return np.unpackbits(np.frombuffer(b, dtype=np.uint8, offset=_U32.size),
+                         count=n).tolist()
 
 
 def encode_records(mtype: MsgType, records) -> bytes:

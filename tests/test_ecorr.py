@@ -1,12 +1,15 @@
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ec_pair import reconcile_batch_pair, reconcile_pair
-from entkd.ecorr import (BICONF_TARGET, MIN_BLOCK, N_PASSES, EtaEstimator,
-                         block_schedule, reconcile_correcting)
+from entkd.channel import ChannelClosed
+from entkd.ecorr import (BICONF_TARGET, MIN_BLOCK, N_PASSES,
+                         ROLE_CORRECTING, ROLE_REFERENCE, EtaEstimator,
+                         _Engine, block_schedule, reconcile_correcting)
 from entkd.wire import (DecodeError, Message, MsgType, ProtocolError,
                         decode_ec_parity, encode_ec_parity, frame)
 
@@ -100,14 +103,13 @@ def test_random_instances_and_audit():
             assert rep_ref.c == rep_cor.c
             assert rep_ref.errors_found == rep_cor.errors_found
             assert rep_cor.eta == pytest.approx(rep_cor.errors_found / r)
-            # the envelope makes the cost auditable from the raw transcript
+            # the cost is auditable from the raw transcript: c is every
+            # bit the reference side sent
             counted = 0
-            for _, msg in transcript:
+            for who, msg in transcript:
                 assert msg.type == MsgType.EC_PARITY
-                for sec in decode_ec_parity(msg.payload):
-                    assert type(sec.bits) is list
-                    if sec.counted:
-                        counted += len(sec.bits)
+                if who == "a":
+                    counted += len(decode_ec_parity(msg.payload))
             assert counted == rep_ref.c
 
 
@@ -115,8 +117,8 @@ def test_random_instances_and_audit():
 # the dialogue, its order or its bytes changes them; a change that means to
 # alter the dialogue updates them and says why in CHANGES.md.
 GOLDEN_BATCH_SHA256 = {
-    "a": "3bd7851185010b4fc2082c2a50f88e59b3d683b676cec984981ba527d0582be3",
-    "b": "2077a4dc5b84d82cce212cbf2e144215f35618dddaa355cc72788da03e7c9f3c",
+    "a": "5c4332ea0a0f03f4fc3d3c9f535fc78423d623ae7cb71e5b6c5594fdc374e2e8",
+    "b": "74440d04ea4dd1769ffe2d13b07d506515c75f718ee903d366b7c84beeb52ec3",
 }
 
 
@@ -164,54 +166,118 @@ def test_determinism():
     assert blob3 != blob1             # but down a different dialogue
 
 
-def _reference_frames(batch):
-    """The reference side's frames for a batch reconciled against itself."""
+def _reference_frames(batch, against=None):
+    """The reference side's frames for a batch reconciled against the
+    correcting side's batch (by default, against itself)."""
     transcript = []
-    reconcile_batch_pair(batch, [(c, b.copy(), s) for c, b, s in batch],
-                         transcript=transcript)
+    reconcile_batch_pair(batch, against or batch, transcript=transcript)
     return [msg for label, msg in transcript if label == "a"]
 
 
 def _replay(batch, frames):
-    """Run a correcting batch against recorded reference frames."""
+    """Run a correcting batch against recorded reference frames; the
+    transport closes once they run out."""
     feed = iter(frames)
-    return reconcile_correcting(batch, 0.05, lambda msg: None,
-                                lambda: next(feed))
+
+    def recv():
+        msg = next(feed, None)
+        if msg is None:
+            raise ChannelClosed("no frame left")
+        return msg
+    return reconcile_correcting(batch, 0.05, lambda msg: None, recv)
 
 
-def test_tampered_round_id_detected():
-    rng = np.random.default_rng(9)
-    bits = rng.integers(0, 2, 256, dtype=np.uint8)
-    messages = _reference_frames([(0, bits, 55)])
-    _replay([(0, bits.copy(), 55)], messages)  # untouched, it goes through
-    payload = bytearray(messages[0].payload)
-    payload[8] ^= 0x01  # low byte of the first section's round id
-    messages[0] = Message(messages[0].type, bytes(payload))
-    with pytest.raises(ProtocolError, match="round"):
-        _replay([(0, bits.copy(), 55)], messages)
+def _frame_of(bits):
+    return Message(MsgType.EC_PARITY, encode_ec_parity([bits]))
 
 
-def test_mismatched_cluster_id_detected():
+def test_frame_must_carry_the_bits_its_engines_take():
+    # a frame names no cluster or round; what the waiting engine takes is
+    # the only count it can be held to, one bit off either way fails
     bits = np.zeros(64, dtype=np.uint8)
-    messages = _reference_frames([(1, bits, 5)])
-    with pytest.raises(ProtocolError, match="cluster id"):
-        _replay([(2, bits.copy(), 5)], messages)
+    batch = [(0, bits, 3)]
+    frames = _reference_frames(batch)
+    _replay(batch, frames)  # untouched, it goes through
+    first = decode_ec_parity(frames[0].payload)
+    # the first pass's block parities: 64 bits in blocks of 32
+    assert len(first) == 2
+    for bad in (first[:-1], first + [0]):
+        with pytest.raises(ProtocolError,
+                           match=f"frame carries {len(bad)} bits, "
+                                 f"expected 2"):
+            _replay(batch, [_frame_of(bad)] + frames[1:])
 
 
-def _sections_by_cluster(transcript):
-    """Every section of a transcript as (sender, round, counted, bits),
-    grouped by cluster id in the order sent."""
-    out = {}
-    for label, msg in transcript:
-        for sec in decode_ec_parity(msg.payload):
-            out.setdefault(sec.cluster_id, []).append(
-                (label, sec.round_id, sec.counted, bytes(sec.bits)))
-    return out
+def test_batch_frame_must_carry_each_waiting_cluster_once():
+    # a two-cluster frame holds each waiting cluster's bits once, in batch
+    # order: a cluster's bits left out or sent twice, or one bit off
+    # either way, miscount the whole frame
+    bits = np.zeros(64, dtype=np.uint8)
+    batch = [(4, bits, 7), (5, bits, 8)]
+    frames = _reference_frames(batch)
+    _replay(batch, frames)
+    first = decode_ec_parity(frames[0].payload)
+    assert len(first) == 4  # two block parities per cluster
+    for bad in (first[:2], first + first[2:], first[:-1], first + [0]):
+        with pytest.raises(ProtocolError,
+                           match=f"frame carries {len(bad)} bits, "
+                                 f"expected 4"):
+            _replay(batch, [_frame_of(bad)] + frames[1:])
 
 
-def test_batch_matches_clusters_run_alone():
+def test_mutated_reference_frames_end_cleanly():
+    # every frame of a small batch flipped, cut short, sent twice or
+    # dropped: the correcting side returns, or stops with one of the
+    # transport's and protocol's own errors, never with another
+    rng = np.random.default_rng(31)
+    batch_ref, batch_cor = [], []
+    for cid, r in ((0, 90), (1, 200)):
+        ref = rng.integers(0, 2, r, dtype=np.uint8)
+        cor = ref ^ (rng.random(r) < 0.05).astype(np.uint8)
+        batch_ref.append((cid, ref, 40 + cid))
+        batch_cor.append((cid, cor, 40 + cid))
+    frames = _reference_frames(batch_ref, batch_cor)
+    outcomes = Counter()
+    for i, msg in enumerate(frames):
+        flipped = bytearray(msg.payload)
+        pos = int(rng.integers(8 * len(flipped)))
+        flipped[pos >> 3] ^= 0x80 >> (pos & 7)
+        variants = (
+            frames[:i] + [Message(msg.type, bytes(flipped))] + frames[i + 1:],
+            frames[:i] + [Message(msg.type, msg.payload[:-1])]
+            + frames[i + 1:],
+            frames[:i + 1] + frames[i:],
+            frames[:i] + frames[i + 1:],
+        )
+        for feed in variants:
+            try:
+                _replay(batch_cor, feed)
+                outcomes["returned"] += 1
+            except (ProtocolError, DecodeError, ChannelClosed) as err:
+                outcomes[type(err).__name__] += 1
+    assert sum(outcomes.values()) == 4 * len(frames) > 100
+    assert set(outcomes) == {"returned", "ProtocolError", "DecodeError",
+                             "ChannelClosed"}, outcomes
+
+
+def _recording_rounds(monkeypatch):
+    """Log every round each engine runs, as (sender, bits), keyed by
+    (role, cluster id)."""
+    log = {}
+
+    def _round(self, sender, bits, orig=_Engine._round):
+        bits = yield from orig(self, sender, bits)
+        log.setdefault((self.role, self.cluster_id), []).append(
+            (sender, bytes(bits)))
+        return bits
+    monkeypatch.setattr(_Engine, "_round", _round)
+    return log
+
+
+def test_batch_matches_clusters_run_alone(monkeypatch):
     # one dialogue for the whole batch, yet every cluster corrects, leaks
     # and exchanges exactly what it does on its own
+    rounds = _recording_rounds(monkeypatch)
     rng = np.random.default_rng(12)
     for trial in range(6):
         eta_est = float(rng.uniform(0.005, 0.3))
@@ -225,56 +291,26 @@ def test_batch_matches_clusters_run_alone():
             cid, seed = 10 * trial + 3 * j, int(rng.integers(1, 2**62))
             batch_ref.append((cid, ref, seed))
             batch_cor.append((cid, cor, seed))
+        rounds.clear()
         transcript = []
         outs, reps_ref, reps_cor = reconcile_batch_pair(
             batch_ref, batch_cor, eta_est, transcript)
-        sections = _sections_by_cluster(transcript)
+        batched = dict(rounds)
         longest = 0
         for k, ((cid, ref, seed), (_, cor, _)) in enumerate(
                 zip(batch_ref, batch_cor)):
+            rounds.clear()
             alone = []
             out, rep_ref, rep_cor = reconcile_pair(ref, cor, cid, seed,
                                                    eta_est, alone)
             assert np.array_equal(outs[k], out)
             assert np.array_equal(out, ref)
             assert reps_ref[k] == rep_ref and reps_cor[k] == rep_cor
-            assert sections[cid] == _sections_by_cluster(alone)[cid]
+            for role in (ROLE_REFERENCE, ROLE_CORRECTING):
+                assert batched[role, cid] == rounds[role, cid]
             longest = max(longest, len(alone))
         # a frame per round trip leg, plus at most one for the final tally
         assert longest <= len(transcript) <= longest + 1
-
-
-def test_batch_frame_must_carry_each_waiting_cluster_once():
-    bits = np.zeros(64, dtype=np.uint8)
-    batch = [(4, bits, 7), (5, bits, 8)]
-    first = decode_ec_parity(_reference_frames(batch)[0].payload)
-    assert [sec.cluster_id for sec in first] == [4, 5]
-
-    def frame(sections):
-        return Message(MsgType.EC_PARITY, encode_ec_parity(sections))
-
-    cases = (
-        ([first[0]], "cluster id 5 missing"),
-        ([first[0], first[1], first[1]._replace(cluster_id=9)],
-         "cluster id 9 is not in the batch"),
-        ([first[1], first[0]], "cluster ids"),
-    )
-    for sections, why in cases:
-        with pytest.raises(ProtocolError, match=why):
-            _replay(batch, [frame(sections)])
-    # the wire decoder already refuses a cluster repeated in one frame
-    with pytest.raises(DecodeError, match="repeated"):
-        _replay(batch, [frame([first[0], first[1], first[0]])])
-
-
-def test_counted_flag_is_checked():
-    bits = np.zeros(64, dtype=np.uint8)
-    frames = _reference_frames([(0, bits, 3)])
-    sec = decode_ec_parity(frames[0].payload)[0]
-    frames[0] = Message(MsgType.EC_PARITY,
-                        encode_ec_parity([sec._replace(counted=False)]))
-    with pytest.raises(ProtocolError, match="counted flag"):
-        _replay([(0, bits, 3)], frames)
 
 
 def test_small_and_edge_sizes():

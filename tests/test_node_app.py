@@ -293,7 +293,7 @@ NOMINAL_WIRE = {
     MsgType.TIMING: (112, 2_288_001),
     MsgType.COINC_REPLY: (112, 43_100),
     MsgType.BATCH_SEEDS: (7, 340),
-    MsgType.EC_PARITY: (6_049, 144_518),
+    MsgType.EC_PARITY: (6_049, 33_253),
     MsgType.KEY_HASH: (14, 368),
     MsgType.METRICS: (6, 275),
     MsgType.BYE: (3, 0),
@@ -418,8 +418,9 @@ def test_loopback_noisy_secrecy_ledger(tmp_path):
 
 
 def test_disclosed_bits_audited_from_the_wire(tmp_path, monkeypatch):
-    # every station's c for every cluster equals the counted parity bits
-    # its EC_PARITY frames carried, summed from the raw frames alone
+    # every batch's disclosed bits, c summed over its clusters on each
+    # station, equal the parity bits of the matcher's EC_PARITY frames
+    # after the batch's BATCH_SEEDS, counted from the raw frames alone
     sent = {}   # MessageIO -> every message it sent, HELLO first
 
     def send(self, msg, orig=MessageIO.send):
@@ -433,22 +434,27 @@ def test_disclosed_bits_audited_from_the_wire(tmp_path, monkeypatch):
         darks=300.0, cluster_bits=1000))
     out_m, out_s = app.run_loopback(cfg)
 
-    counted = {}   # sender role -> cluster id -> counted bits
-    for msgs in sent.values():
-        _, role = decode_hello(msgs[0].payload)
-        tally = counted.setdefault(role, Counter())
-        for msg in msgs:
-            if msg.type == MsgType.EC_PARITY:
-                for sec in decode_ec_parity(msg.payload):
-                    if sec.counted:
-                        tally[sec.cluster_id] += len(sec.bits)
-    assert sorted(counted) == [PROTO_ROLE_MATCHER, PROTO_ROLE_STREAMER]
+    by_role = {decode_hello(msgs[0].payload)[1]: msgs
+               for msgs in sent.values()}
+    assert sorted(by_role) == [PROTO_ROLE_MATCHER, PROTO_ROLE_STREAMER]
     # only the reference side, the matcher, discloses counted parities
-    assert not counted[PROTO_ROLE_STREAMER]
-    audit = dict(counted[PROTO_ROLE_MATCHER])
-    assert len(audit) >= 3 and sum(r.errors_found for r in out_m.reports) > 0
+    audit = []   # (cluster ids, parity bits sent) per batch
+    for msg in by_role[PROTO_ROLE_MATCHER]:
+        if msg.type == MsgType.BATCH_SEEDS:
+            ids = [rec[0] for rec in decode_records(msg.type, msg.payload)]
+            audit.append((ids, 0))
+        elif msg.type == MsgType.EC_PARITY:
+            ids, bits = audit[-1]
+            audit[-1] = ids, bits + len(decode_ec_parity(msg.payload))
+    # the first cluster alone, then a batch of several
+    sizes = [len(ids) for ids, _ in audit]
+    assert sizes[0] == 1 and max(sizes) > 1
+    assert sum(r.errors_found for r in out_m.reports) > 0
     for out in (out_m, out_s):
-        assert {rep.cluster_id: rep.c for rep in out.reports} == audit
+        c = {rep.cluster_id: rep.c for rep in out.reports}
+        assert [cid for ids, _ in audit for cid in ids] == sorted(c)
+        assert [bits for _, bits in audit] == [
+            sum(c[cid] for cid in ids) for ids, _ in audit]
 
 
 def test_loopback_discard_path(tmp_path, monkeypatch):

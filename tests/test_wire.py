@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from entkd.core import EPOCH_TICKS, ContractViolation, EventStream
 from entkd.wire import (FRAME_HEADER_SIZE, RICE_K_MAX, WIRE_VERSION,
-                        DecodeError, Message, MsgType, ParitySection,
-                        ProtocolError, TimingPacket, choose_rice_k,
-                        decode_coinc_reply, decode_ec_parity, decode_hello,
-                        decode_records, decode_timing, dedupe_ticks,
-                        encode_coinc_reply, encode_ec_parity, encode_hello,
-                        encode_records, encode_timing, frame, frame_header,
-                        packetize)
+                        DecodeError, Message, MsgType, ProtocolError,
+                        TimingPacket, choose_rice_k, decode_coinc_reply,
+                        decode_ec_parity, decode_hello, decode_records,
+                        decode_timing, dedupe_ticks, encode_coinc_reply,
+                        encode_ec_parity, encode_hello, encode_records,
+                        encode_timing, frame, frame_header, packetize)
 
 
 def mk_packet(epoch, first, deltas, flags):
@@ -173,7 +172,7 @@ def test_decode_rejects_section_damage():
 
 def test_decode_fuzz_random_bytes():
     rng = np.random.default_rng(0)
-    replies = 0
+    replies = frames = 0
     for n in list(range(0, 30)) + [100, 1000]:
         for _ in range(20):
             blob = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
@@ -196,7 +195,18 @@ def test_decode_fuzz_random_bytes():
                 assert idx.dtype == np.int64
                 assert idx.size == 0 or 0 <= idx[0] and idx[-1] < 2**32
                 assert (np.diff(idx) > 0).all()
-    assert replies > 20
+            # a random parity frame, also behind a count its length fits
+            count = max(8 * (n - 4) - int(rng.integers(0, 8)), 0)
+            for parity in (blob, count.to_bytes(4, "little") + blob[4:]):
+                try:
+                    bits = decode_ec_parity(parity)
+                except DecodeError:
+                    continue
+                # anything that decodes is its declared count of 0/1 ints
+                frames += 1
+                assert len(bits) == int.from_bytes(parity[:4], "little")
+                assert set(bits) <= {0, 1}
+    assert replies > 20 and frames > 20
 
 
 def test_framing_roundtrip():
@@ -326,46 +336,36 @@ def test_coinc_reply_decoder_rejections():
         2**32 - 1]
 
 
-def _sections(*specs):
-    return [ParitySection(cid, rid, counted, list(bits))
-            for cid, rid, counted, bits in specs]
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 1), max_size=40), max_size=20))
+@example([])                            # a frame of no section at all
+@example([[], []])                      # sections of no bit: 0 bits too
+@example([[1, 0, 1], [1, 1, 0, 0, 1]])  # 8 bits, no pad
+@example([[1] * 17])
+def test_ec_parity_roundtrip(sections):
+    bits = [b for sec in sections for b in sec]
+    blob = encode_ec_parity(sections)
+    assert len(blob) == 4 + (len(bits) + 7) // 8
+    got = decode_ec_parity(blob)
+    # a list of plain 0/1 ints: the sections' bits in order, joined
+    assert type(got) is list and all(type(b) is int for b in got)
+    assert got == bits
 
 
-def _assert_sections_equal(got, want):
-    assert [s[:3] for s in got] == [s[:3] for s in want]
-    for g, w in zip(got, want):
-        # a list of plain 0/1 ints, equal to what was sent
-        assert type(g.bits) is list
-        assert all(type(b) is int for b in g.bits)
-        assert g.bits == w.bits
-
-
-def test_ec_parity_roundtrip():
-    want = _sections((9, 110, True, [1, 0, 1, 1, 0, 0, 1]),
-                     (2, 111, False, []),
-                     (70000, 5, True, [1] * 17))
-    _assert_sections_equal(decode_ec_parity(encode_ec_parity(want)), want)
-    one = _sections((9, 111, False, []))
-    assert encode_ec_parity(one) == bytes.fromhex("01000000" "09000000"
-                                                  "6f00" "00" "00000000")
-    _assert_sections_equal(decode_ec_parity(encode_ec_parity(one)), one)
-
-
-# two sections: cluster 2, round 110, counted, bits 101; cluster 5,
-# round 111, not counted, bits 110011
+# three sections: bits 101, none, then 110011; 9 bits in all
 GOLDEN_PARITY = bytes.fromhex(
-    "02000000"
-    "02000000" "6e00" "01" "03000000"
-    "05000000" "6f00" "00" "06000000"
-    # 101 110011, padded: 1011 1001 | 1000 0000
+    "09000000"
+    # 101 110011, then seven pad bits: 1011 1001 | 1000 0000
     "b980")
 
 
 def test_golden_ec_parity_bytes():
-    want = _sections((2, 110, True, [1, 0, 1]),
-                     (5, 111, False, [1, 1, 0, 0, 1, 1]))
-    assert encode_ec_parity(want) == GOLDEN_PARITY
-    _assert_sections_equal(decode_ec_parity(GOLDEN_PARITY), want)
+    sections = [[1, 0, 1], [], [1, 1, 0, 0, 1, 1]]
+    assert encode_ec_parity(sections) == GOLDEN_PARITY
+    assert decode_ec_parity(GOLDEN_PARITY) == [1, 0, 1, 1, 1, 0, 0, 1, 1]
+    # a frame of no bit is the count alone
+    assert encode_ec_parity([[]]) == bytes(4)
+    assert decode_ec_parity(bytes(4)) == []
 
 
 def test_golden_seed_bytes():
@@ -394,25 +394,15 @@ def test_golden_key_hash_bytes():
 
 def test_ec_parity_decoder_rejections():
     g = GOLDEN_PARITY
-
-    def patched(offset, value):
-        b = bytearray(g)
-        b[offset] = value
-        return bytes(b)
-
     cases = (
         ("truncated parity frame", g[:3]),
-        ("no sections", bytes(4)),
-        # the table promises two sections but holds one and a half
-        ("truncated section table", g[:4 + 11 + 5]),
-        # three sections declared: the table runs into the parity bits
-        ("truncated section table", patched(0, 3)),
-        # second section claims 14 bits, 17 in all, past the 16 sent
-        ("overrun", patched(4 + 11 + 7, 14)),
-        ("nonzero padding", g[:-1] + bytes([0x81])),
-        ("longer than its sections", g + b"\x00"),
-        ("repeated", patched(4 + 11, 2)),
-        ("counted flag", patched(4 + 6, 2)),
+        # 9 bits take 2 bytes after the count, no fewer and no more
+        ("parity frame of 5 bytes for 9 bits", g[:-1]),
+        ("parity frame of 7 bytes for 9 bits", g + b"\x00"),
+        # a count that the bytes do not hold, or hold more than
+        ("parity frame of 6 bytes for 17 bits", b"\x11" + g[1:]),
+        ("parity frame of 6 bytes for 0 bits", bytes(4) + g[4:]),
+        ("nonzero padding", g[:-1] + b"\x81"),
     )
     for why, blob in cases:
         with pytest.raises(DecodeError, match=why):
@@ -461,7 +451,7 @@ def test_control_codecs():
 
 def test_hello_golden_bytes():
     # (u16 version, u8 role), little-endian
-    assert WIRE_VERSION == 8
-    assert encode_hello(0) == b"\x08\x00\x00"
-    assert encode_hello(1) == b"\x08\x00\x01"
+    assert WIRE_VERSION == 9
+    assert encode_hello(0) == b"\x09\x00\x00"
+    assert encode_hello(1) == b"\x09\x00\x01"
     assert decode_hello(b"\x02\x01\x01") == (0x0102, 1)
