@@ -252,18 +252,17 @@ def parse_endpoint(text: str) -> tuple[str, int]:
 
 
 def run_matcher_tcp(cfg: SessionConfig, listen: str, timeout: float = 120.0):
-    """Run the matcher station as a TCP server for one session."""
+    """Run the matcher station as a TCP server; timeout bounds the accept."""
     host, port = parse_endpoint(listen)
     stream, _ = build_streams(cfg, bob=False)
     with socket.create_server((host, port)) as srv:
         srv.settimeout(timeout)
         conn, _addr = srv.accept()
-    conn.settimeout(timeout)
     return _station(cfg, PROTO_ROLE_MATCHER, conn, stream)
 
 
 def run_streamer_tcp(cfg: SessionConfig, peer: str, timeout: float = 120.0):
-    """Run the streamer station as a TCP client for one session."""
+    """Run the streamer station as a TCP client; timeout bounds the connect."""
     host, port = parse_endpoint(peer)
     _, stream = build_streams(cfg, alice=False)
     conn = socket.create_connection((host, port), timeout=timeout)

@@ -1,81 +1,82 @@
 """Message transport: framed wire.Message objects over a connected socket,
-with blocking send/recv and a typed receive that holds back early types.
+on the caller's thread, and a typed receive that holds back early types.
 """
 
 from __future__ import annotations
 
+import select
 import socket
-import threading
 from collections import deque
-from queue import Empty, SimpleQueue
 
 from .wire import (FRAME_HEADER_SIZE, Message, MsgType, ProtocolError, frame,
                    frame_header)
 
-_CLOSE = object()
 DEFAULT_TIMEOUT = 60.0
 
 
 class ChannelClosed(ConnectionError):
-    """Peer closed the channel (or the transport died)."""
+    """Peer closed the channel, stopped reading, or the transport died."""
 
 
 class MessageIO:
-    """Framed messages over a connected socket, with a reader thread.
+    """Framed messages over a connected socket, on the caller's thread.
 
-    The reader drains the socket continuously into an unbounded inbox, so
-    neither side can wedge on a full kernel buffer no matter how lopsided
-    the traffic is. Sends take no lock: the reader thread never sends, and
-    each station sends from its own thread over its own MessageIO.
+    The socket is non-blocking and what the peer sends goes to one buffer.
+    recv cuts whole frames from it and waits only when it holds none. send
+    writes at once when the socket takes the frame, and otherwise reads
+    while it waits for room, so two stations that each send more than the
+    kernel buffers hold before reading both go on. DEFAULT_TIMEOUT, read
+    at each call, bounds every wait: a peer that neither reads nor closes
+    is ChannelClosed to send, and a silent one a ProtocolError to recv.
     """
 
     def __init__(self, sock: socket.socket):
+        sock.setblocking(False)
         self._sock = sock
-        self._inbox: SimpleQueue = SimpleQueue()
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
+        self._fd = sock.fileno()   # still names the socket once it closes
+        self._poll = select.poll()
+        self._buf = bytearray()
+        self._eof = False
 
-    def _read_exact(self, n: int) -> bytes | None:
-        buf = bytearray()
-        while len(buf) < n:
-            try:
-                chunk = self._sock.recv(n - len(buf))
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            buf.extend(chunk)
-        return bytes(buf)
-
-    def _read_loop(self) -> None:
-        while (head := self._read_exact(FRAME_HEADER_SIZE)) is not None:
-            try:
-                mtype, length = frame_header(head)
-            except ProtocolError as exc:
-                self._inbox.put(exc)
-                return
-            if (body := self._read_exact(length)) is None:
-                break
-            self._inbox.put(Message(mtype, body))
-        self._inbox.put(_CLOSE)
+    def _wait(self, events: int) -> bool:
+        """Wait for events or a hang-up, then buffer input; False on timeout.
+        A peer stops sending only when it closes, so end of stream ends it."""
+        if self._eof or self._sock.fileno() < 0:
+            raise ChannelClosed("connection closed")
+        self._poll.register(self._fd, events)
+        if not self._poll.poll(DEFAULT_TIMEOUT * 1000):
+            return False
+        try:
+            chunk = self._sock.recv(1 << 16)
+        except BlockingIOError:   # only room to send came
+            return True
+        except OSError:   # reset, or closed under the wait
+            chunk = b""
+        self._eof = not chunk
+        self._buf += chunk
+        return True
 
     def send(self, msg: Message) -> None:
-        data = frame(msg)
-        try:
-            self._sock.sendall(data)
-        except OSError as exc:
-            raise ChannelClosed(f"send failed: {exc}") from None
+        data = memoryview(frame(msg))
+        while data:
+            try:
+                data = data[self._sock.send(data):]
+            except BlockingIOError:
+                if not self._wait(select.POLLOUT | select.POLLIN):
+                    raise ChannelClosed("timed out waiting to send") from None
+            except OSError as exc:
+                raise ChannelClosed(f"send failed: {exc}") from None
 
-    def recv(self, timeout: float = DEFAULT_TIMEOUT) -> Message:
-        try:
-            item = self._inbox.get(timeout=timeout)
-        except Empty:
-            raise ProtocolError("timed out waiting for peer message") from None
-        if item is _CLOSE:
-            raise ChannelClosed("connection closed by peer")
-        if isinstance(item, Exception):
-            raise item
-        return item
+    def recv(self) -> Message:
+        while True:
+            if len(self._buf) >= FRAME_HEADER_SIZE:   # checked before the body
+                mtype, length = frame_header(self._buf)
+                if len(self._buf) >= (end := FRAME_HEADER_SIZE + length):
+                    body = bytes(self._buf[FRAME_HEADER_SIZE:end])
+                    del self._buf[:end]
+                    return Message(mtype, body)
+            if not self._wait(select.POLLIN):
+                raise ProtocolError("timed out waiting for peer message")
 
     def close(self) -> None:
         try:

@@ -414,16 +414,16 @@ def _drive(steps, send, recv):
     is answered with recv().
     """
     reply = None
-    try:
-        while True:
+    while True:
+        try:
             out = steps.send(reply)
-            if out is None:
-                reply = recv()
-            else:
-                send(out)
-                reply = None
-    except StopIteration as stop:
-        return stop.value
+        except StopIteration as stop:   # the dialogue's end, not a transport's
+            return stop.value
+        if out is None:
+            reply = recv()
+        else:
+            send(out)
+            reply = None
 
 
 def _reconcile(role, batch, eta_est, send, recv):

@@ -1,10 +1,12 @@
 import socket
 import threading
+import time
 
 import pytest
 
+from entkd import channel
 from entkd.channel import ChannelClosed, MessageIO, PeerEndpoint
-from entkd.wire import Message, MsgType, ProtocolError
+from entkd.wire import Message, MsgType, ProtocolError, frame
 
 
 def _io_pair():
@@ -108,51 +110,137 @@ def test_message_io_roundtrip():
         io2.close()
 
 
+def _in_thread(fn):
+    """Run fn on a daemon thread; a box gets its result or its error."""
+    box = {}
+
+    def run():
+        try:
+            box["out"] = fn()
+        except BaseException as exc:
+            box["err"] = exc
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    return worker, box
+
+
 def test_message_io_large_and_many():
     io1, io2 = _io_pair()
     try:
         big = bytes(range(256)) * 4000  # ~1 MB frame
-        io1.send(Message(MsgType.TIMING, big))
-        for i in range(200):
-            io1.send(Message(MsgType.EC_PARITY, i.to_bytes(2, "little")))
+
+        def send_all():
+            io1.send(Message(MsgType.TIMING, big))
+            for i in range(200):
+                io1.send(Message(MsgType.EC_PARITY, i.to_bytes(2, "little")))
+        worker, box = _in_thread(send_all)
         assert io2.recv().payload == big
         for i in range(200):
             assert io2.recv().payload == i.to_bytes(2, "little")
+        worker.join(timeout=30)
+        assert not worker.is_alive() and "err" not in box, box
     finally:
         io1.close()
         io2.close()
 
 
-def test_message_io_no_backpressure_deadlock():
-    # one side floods while the other never reads until the flood ends;
-    # the reader thread must keep draining so send never wedges
+def test_message_io_both_ends_flood_before_reading():
+    # each end sends 4 MB, far beyond the kernel buffers, before it reads
+    # anything: each reads while it waits to send, so both finish
+    ios = _io_pair()
+    try:
+        def flood_then_read(me):
+            for i in range(64):
+                me.send(Message(MsgType.TIMING, bytes([i]) * (64 * 1024)))
+            return [me.recv() for _ in range(64)]
+        runs = [_in_thread(lambda me=me: flood_then_read(me)) for me in ios]
+        for worker, _ in runs:
+            worker.join(timeout=30)
+            assert not worker.is_alive(), "a station wedged on a full buffer"
+        for _, box in runs:
+            assert "err" not in box, box
+            assert [(m.type, m.payload) for m in box["out"]] == [
+                (MsgType.TIMING, bytes([i]) * (64 * 1024)) for i in range(64)]
+    finally:
+        for io in ios:
+            io.close()
+
+
+def test_message_io_blocked_send_ends_when_the_peer_closes():
     io1, io2 = _io_pair()
     try:
-        blob = bytes(64 * 1024)
-        done = threading.Event()
-
-        def flood():
-            for _ in range(64):  # 4 MB total, far beyond kernel buffers
-                io1.send(Message(MsgType.TIMING, blob))
-            done.set()
-
-        t = threading.Thread(target=flood, daemon=True)
-        t.start()
-        assert done.wait(timeout=30), "sender wedged on a full socket buffer"
-        for _ in range(64):
-            assert io2.recv().type == MsgType.TIMING
+        worker, box = _in_thread(
+            lambda: io1.send(Message(MsgType.TIMING, bytes(8 << 20))))
+        time.sleep(0.2)
+        assert worker.is_alive()   # waiting for room the peer never makes
+        io2.close()
+        t0 = time.monotonic()
+        worker.join(timeout=5)
+        assert time.monotonic() - t0 < 1.0 and not worker.is_alive()
+        assert isinstance(box.get("err"), ChannelClosed), box
     finally:
         io1.close()
         io2.close()
 
 
-def test_message_io_peer_close():
+def test_message_io_send_times_out_on_a_peer_that_never_reads(monkeypatch):
+    monkeypatch.setattr(channel, "DEFAULT_TIMEOUT", 0.2)
+    io1, io2 = _io_pair()
+    try:
+        t0 = time.monotonic()
+        worker, box = _in_thread(
+            lambda: io1.send(Message(MsgType.TIMING, bytes(8 << 20))))
+        worker.join(timeout=5)
+        assert not worker.is_alive(), "send waited past its timeout"
+        assert time.monotonic() - t0 > 0.15
+        assert isinstance(box.get("err"), ChannelClosed), box
+        assert "timed out waiting to send" in str(box["err"])
+    finally:
+        io1.close()
+        io2.close()
+
+
+def test_message_io_close_wakes_a_waiting_recv():
+    # the endpoint is closed from another thread while recv waits on it,
+    # again and again: every wait must end at once
+    for _ in range(20):
+        io1, io2 = _io_pair()
+        try:
+            worker, box = _in_thread(io2.recv)
+            time.sleep(0.02)
+            io2.close()
+            t0 = time.monotonic()
+            worker.join(timeout=5)
+            assert time.monotonic() - t0 < 1.0 and not worker.is_alive()
+            assert isinstance(box.get("err"), ChannelClosed), box
+        finally:
+            io1.close()
+            io2.close()
+
+
+def test_message_io_peer_close(monkeypatch):
+    monkeypatch.setattr(channel, "DEFAULT_TIMEOUT", 5.0)
     io1, io2 = _io_pair()
     io1.close()
     with pytest.raises(ChannelClosed):
         io2.recv()
     with pytest.raises(ChannelClosed):
         io1.send(Message(MsgType.BYE))
+    # an endpoint used after its own close fails at once, also when its
+    # descriptor number already names another socket
+    reuse = socket.socketpair()
+    with pytest.raises(ChannelClosed):
+        io1.recv()
+    for s in reuse:
+        s.close()
+    io2.close()
+    # a frame cut short by the close is end of stream too
+    s1, s2 = socket.socketpair()
+    io2 = MessageIO(s2)
+    s1.sendall(frame(Message(MsgType.TIMING, bytes(10)))[:-3])
+    s1.close()
+    with pytest.raises(ChannelClosed):
+        io2.recv()
     io2.close()
 
 
@@ -168,25 +256,27 @@ def test_message_io_garbage_frame():
         io2.close()
 
 
-def test_message_io_unknown_tag_refused_before_its_body():
+def test_message_io_unknown_tag_refused_before_its_body(monkeypatch):
     # the header declares a body that never comes, on a socket left open:
     # the tag alone is refused, without waiting for the body
+    monkeypatch.setattr(channel, "DEFAULT_TIMEOUT", 5.0)
     s1, s2 = socket.socketpair()
     io2 = MessageIO(s2)
     try:
         s1.sendall(b"\x63\xff\xff\xff\xff")
         with pytest.raises(ProtocolError, match="unknown message tag"):
-            io2.recv(timeout=5.0)
+            io2.recv()
     finally:
         s1.close()
         io2.close()
 
 
-def test_message_io_timeout():
+def test_message_io_timeout(monkeypatch):
+    monkeypatch.setattr(channel, "DEFAULT_TIMEOUT", 0.05)
     io1, io2 = _io_pair()
     try:
-        with pytest.raises(ProtocolError):
-            io2.recv(timeout=0.05)
+        with pytest.raises(ProtocolError, match="timed out"):
+            io2.recv()
     finally:
         io1.close()
         io2.close()

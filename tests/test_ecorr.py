@@ -225,6 +225,17 @@ def test_batch_frame_must_carry_each_waiting_cluster_once():
             _replay(batch, [_frame_of(bad)] + frames[1:])
 
 
+def test_transport_error_is_not_the_dialogue_ending():
+    # a transport that raises StopIteration, as next() on a spent feed
+    # does, stops the dialogue with that error: it does not end it as
+    # though the engines had returned
+    batch = [(0, np.zeros(64, dtype=np.uint8), 3)]
+    feed = iter(_reference_frames(batch)[:-1])
+    with pytest.raises(StopIteration):
+        reconcile_correcting(batch, 0.05, lambda msg: None,
+                             lambda: next(feed))
+
+
 def test_mutated_reference_frames_end_cleanly():
     # every frame of a small batch flipped, cut short, sent twice or
     # dropped: the correcting side returns, or stops with one of the

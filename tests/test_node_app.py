@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ec_pair import reconcile_pair
-from entkd import app, cli, coinc, node
+from entkd import app, channel, cli, coinc, node
 from entkd.channel import MessageIO
 from entkd.core import EPOCH_TICKS, EventStream
 from entkd.node import (METRICS_HEADER, PROTO_ROLE_MATCHER,
@@ -180,6 +180,22 @@ def test_loopback_noiseless(tmp_path):
     assert a_rows[0] == b_rows[0]
     assert a_rows[1:] == b_rows[1:]
     assert len(a_rows) >= 2
+
+
+def test_loopback_runs_one_thread_per_station(tmp_path, monkeypatch):
+    # the calling thread runs the matcher and one worker the streamer;
+    # neither station's channel starts a thread of its own
+    counts = []
+    orig_send = MessageIO.send
+
+    def send(self, msg):
+        counts.append(threading.active_count())
+        orig_send(self, msg)
+
+    monkeypatch.setattr(MessageIO, "send", send)
+    before = threading.active_count()
+    app.run_loopback(app.load_config(_write_ini(tmp_path / "s.ini")))
+    assert len(counts) > 10 and max(counts) <= before + 1
 
 
 def test_loopback_determinism(tmp_path):
@@ -578,8 +594,8 @@ class _TamperEndpoint:
     def send(self, msg):
         self._inner.send(self._mutate(msg))
 
-    def recv(self, timeout=60.0):
-        return self._inner.recv(timeout)
+    def recv(self):
+        return self._inner.recv()
 
     def close(self):
         self._inner.close()
@@ -915,7 +931,7 @@ def test_streamer_refuses_a_reply_index_past_its_epoch(tmp_path):
     assert err_m is not None and "out" not in box
 
 
-def test_hello_with_wrong_version_is_refused():
+def test_hello_with_wrong_version_is_refused(monkeypatch):
     sa, sb = _small_link(seed=34)
     # 3 is the last version with one EC_PARITY message per cluster
     for other in sorted({3, WIRE_VERSION - 1, WIRE_VERSION + 1}):
@@ -940,8 +956,10 @@ def test_hello_with_wrong_version_is_refused():
         assert isinstance(box.get("err"), ProtocolError)
         assert f"version {other}" in str(box["err"])
         assert peer.recv().type == MsgType.HELLO
-        with pytest.raises(ProtocolError, match="timed out"):
-            peer.recv(timeout=0.2)
+        with monkeypatch.context() as patch:
+            patch.setattr(channel, "DEFAULT_TIMEOUT", 0.2)
+            with pytest.raises(ProtocolError, match="timed out"):
+                peer.recv()
         peer.close()
         io_s.close()
 
